@@ -52,7 +52,7 @@ FUZZ_TIME ?= 5s
 # small scale, short enough for CI.
 FLAT_DUR := 100ms
 
-.PHONY: build test vet lint race apdebug bench-smoke bench-churn bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke check
+.PHONY: build test vet lint race apdebug bench-smoke bench-churn bench-flat cover checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke perfbench-test check
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,13 @@ verify-smoke:
 	$(GO) run ./cmd/apverify reach -net fattree -preset small -all
 	$(GO) run ./cmd/apverify blackholes -net fattree -preset small -all
 
+# The repository benchmark (perfbench/, a module of its own that builds
+# against this checkout) must keep compiling and passing its own tests
+# whenever the program's API changes, not only when the benchmark runs.
+# Offline by construction: module mode with the proxy off.
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
+
 cover:
 	$(GO) test -coverprofile=$(COVER_OUT) $(COVER_PKG)
 	@total=$$($(GO) tool cover -func=$(COVER_OUT) | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
@@ -139,5 +146,5 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= f+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-check: build vet test lint race apdebug bench-smoke bench-churn bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke cover
+check: build vet test lint race apdebug bench-smoke bench-churn bench-flat checkpoint-smoke cluster-smoke fuzz-smoke verify-smoke perfbench-test cover
 	@echo "all gates passed"

@@ -29,11 +29,14 @@ package apclassifier
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"apclassifier/internal/aptree"
 	"apclassifier/internal/bdd"
+	"apclassifier/internal/checkpoint"
 	"apclassifier/internal/header"
 	"apclassifier/internal/netgen"
 	"apclassifier/internal/network"
@@ -72,28 +75,28 @@ type Options struct {
 
 // Classifier is the compiled form of a dataset: predicates, atoms, the AP
 // Tree behind a reconstruction manager, and the topology for stage 2.
+//
+// Every reader pins one published epoch — tree, flat core, topology
+// wiring and behavior cache from a single load — and holds no lock.
+// Writers (rule deltas, middlebox changes, what-if forks) serialize on an
+// internal mutex and publish a new epoch.
 type Classifier struct {
 	Layout  *header.Layout
 	Manager *aptree.Manager
-	Net     *network.Network
+	// Net is the build-time topology (names, links, hosts), read-only:
+	// updates never write it; the current wiring is Snapshot.Net.
+	Net *network.Network
+	// Dataset's rule tables are edited in place by the update methods;
+	// read them only while no update runs.
 	Dataset *netgen.Dataset
 
-	// PortPred[b][p] is the predicate ID of box b's port-p forwarding
-	// predicate, or network.NoPred when the port never forwards.
-	PortPred [][]int32
-
-	env *network.Env
+	// mu serializes writers: whatever edits or reads the rule tables or
+	// derives the next epoch's wiring. Readers never take it.
+	mu sync.Mutex
 
 	// sink, when non-nil, receives per-query stage traces from Behavior
 	// and BehaviorWith; see SetTraceSink for the hook contract.
 	sink atomic.Pointer[obs.TraceRing]
-
-	// bcache is the behavior cache of the currently published epoch,
-	// installed lazily by the first query of each epoch and keyed to its
-	// snapshot by pointer identity; see cacheFor. Queries pinned to a
-	// retired epoch find a mismatch and simply walk uncached, so the
-	// pointer never needs explicit invalidation.
-	bcache atomic.Pointer[network.BehaviorCache]
 
 	// deltaSeq is the sequence number of the last applied sequenced
 	// rule-delta batch (ApplyRuleDeltasSeq); checkpoints record it so a
@@ -123,28 +126,24 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 		return nil, fmt.Errorf("apclassifier: layout lacks %q field", dstField)
 	}
 
-	// Convert forwarding tables: one predicate per non-empty output port.
-	c.PortPred = make([][]int32, len(ds.Boxes))
+	// Convert forwarding tables (one predicate per non-empty output port),
+	// then ACLs, into the registry and the per-box wiring.
+	add := func(p bdd.Ref) int32 {
+		d.Retain(p)
+		return reg.Add(p)
+	}
+	boxes := make([]checkpoint.BoxWiring, len(ds.Boxes))
 	for bi := range ds.Boxes {
 		box := &ds.Boxes[bi]
-		preds := predicate.PortPredicates(d, ds.Layout, dstField, &box.Fwd, box.NumPorts)
-		c.PortPred[bi] = make([]int32, box.NumPorts)
-		for pi, p := range preds {
-			if p == bdd.False {
-				c.PortPred[bi][pi] = network.NoPred
-				continue
+		w := checkpoint.BoxWiring{InACL: network.NoPred, Fwd: make([]int32, box.NumPorts), OutACL: make([]int32, box.NumPorts)}
+		for pi, p := range predicate.PortPredicates(d, ds.Layout, dstField, &box.Fwd, box.NumPorts) {
+			w.Fwd[pi], w.OutACL[pi] = network.NoPred, network.NoPred
+			if p != bdd.False {
+				w.Fwd[pi] = add(p)
 			}
-			d.Retain(p)
-			c.PortPred[bi][pi] = reg.Add(p)
 		}
+		boxes[bi] = w
 	}
-
-	// Convert ACLs.
-	type aclRef struct {
-		box, port int // port == -1 for box ingress ACLs
-		id        int32
-	}
-	var aclRefs []aclRef
 	for bi := range ds.Boxes {
 		box := &ds.Boxes[bi]
 		// Sorted port order, not map order: predicate registry IDs fix the
@@ -156,33 +155,17 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 		}
 		sort.Ints(ports)
 		for _, pi := range ports {
-			p := predicate.ACLPredicate(d, ds.Layout, box.PortACL[pi])
-			d.Retain(p)
-			aclRefs = append(aclRefs, aclRef{bi, pi, reg.Add(p)})
+			boxes[bi].OutACL[pi] = add(predicate.ACLPredicate(d, ds.Layout, box.PortACL[pi]))
 		}
 		if box.InACL != nil {
-			p := predicate.ACLPredicate(d, ds.Layout, box.InACL)
-			d.Retain(p)
-			aclRefs = append(aclRefs, aclRef{bi, -1, reg.Add(p)})
+			boxes[bi].InACL = add(predicate.ACLPredicate(d, ds.Layout, box.InACL))
 		}
 	}
 
 	// Atoms and tree.
-	live := reg.LiveIDs()
-	refs := make([]bdd.Ref, len(live))
-	ids := make([]int, len(live))
-	for i, id := range live {
-		refs[i] = reg.Ref(id)
-		ids[i] = int(id)
-	}
-	atoms := predicate.ComputeMapped(d, refs, ids, reg.NumIDs())
-	tree := aptree.Build(aptree.Input{
-		D:       d,
-		Preds:   reg.Refs(),
-		Live:    live,
-		Atoms:   atoms,
-		Weights: opts.Weights,
-	}, opts.Method)
+	in := treeInput(d, reg.LiveIDs(), reg.Ref)
+	in.Weights = opts.Weights
+	tree := aptree.Build(in, opts.Method)
 	// Reclaim conversion scratch before the manager publishes its first
 	// snapshot: once a frozen view of the DD is out, the DD must never be
 	// garbage collected again (the GC-at-swap rule; see bdd.View).
@@ -190,23 +173,20 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 		d.GC()
 	}
 	c.Manager = aptree.NewManagerWith(d, reg, tree, opts.Method)
-	if flatDisabledByEnv() {
-		c.Manager.SetFlatCompile(false)
-	}
+	c.wire(boxes)
+	return c, nil
+}
 
-	// Topology.
+// wire finishes a cold build or warm restore: it builds the topology bound
+// to the given predicate IDs and publishes it as the epoch's wiring.
+func (c *Classifier) wire(boxes []checkpoint.BoxWiring) {
+	ds := c.Dataset
 	c.Net = network.New()
-	for bi := range ds.Boxes {
-		c.Net.AddBox(ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
-		for pi := 0; pi < ds.Boxes[bi].NumPorts; pi++ {
-			c.Net.Boxes[bi].Ports[pi].Fwd = c.PortPred[bi][pi]
-		}
-	}
-	for _, ar := range aclRefs {
-		if ar.port < 0 {
-			c.Net.Boxes[ar.box].InACL = ar.id
-		} else {
-			c.Net.Boxes[ar.box].Ports[ar.port].OutACL = ar.id
+	for bi, w := range boxes {
+		b := c.Net.Boxes[c.Net.AddBox(ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)]
+		b.InACL = w.InACL
+		for pi := range b.Ports {
+			b.Ports[pi].Fwd, b.Ports[pi].OutACL = w.Fwd[pi], w.OutACL[pi]
 		}
 	}
 	for _, l := range ds.Links {
@@ -215,9 +195,11 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 	for _, h := range ds.Hosts {
 		c.Net.AttachHost(h.Box, h.Port, h.Name)
 	}
-
-	c.env = &network.Env{Source: c.Manager}
-	return c, nil
+	if flatDisabledByEnv() {
+		c.Manager.SetFlatCompile(false)
+	}
+	w := &wiring{net: c.Net, rules: ds.NumRules(), aclRules: ds.NumACLRules()}
+	c.Manager.Update(func(tx *aptree.Tx) { tx.SetWiring(w) })
 }
 
 // flatDisabledByEnv reports the APC_FLAT=0 escape hatch: operators set it
@@ -226,9 +208,9 @@ func New(ds *netgen.Dataset, opts Options) (*Classifier, error) {
 // classifier construction; flip at runtime via Manager.SetFlatCompile.
 func flatDisabledByEnv() bool { return os.Getenv("APC_FLAT") == "0" }
 
-// Env returns the stage-2 environment (classification, liveness); useful
-// for driving network.Behavior directly or attaching middleboxes.
-func (c *Classifier) Env() *network.Env { return c.env }
+// Env returns a stage-2 environment over the live classifier
+// (classification, liveness), for driving network.Behavior directly.
+func (c *Classifier) Env() *network.Env { return &network.Env{Source: c.Manager} }
 
 // TreeInput recomputes the atomic predicates of the live predicate set and
 // returns a build input suitable for constructing additional AP Trees over
@@ -237,25 +219,23 @@ func (c *Classifier) Env() *network.Env { return c.env }
 // updates or reconstructions) while the input and trees built from it are
 // in use, because they share the live DD.
 func (c *Classifier) TreeInput() aptree.Input {
-	m := c.Manager
-	d := m.DD()
-	live := m.LiveIDs()
+	return treeInput(c.Manager.DD(), c.Manager.LiveIDs(), c.Manager.Ref)
+}
+
+// treeInput computes the atomic predicates of the live predicate IDs
+// (ascending) and returns them as a build input over those predicates.
+func treeInput(d *bdd.DD, live []int32, ref func(int32) bdd.Ref) aptree.Input {
+	numIDs := 0
+	if len(live) > 0 {
+		numIDs = int(live[len(live)-1]) + 1
+	}
+	preds := make([]bdd.Ref, numIDs)
 	refs := make([]bdd.Ref, len(live))
 	ids := make([]int, len(live))
-	maxID := int32(0)
 	for i, id := range live {
-		refs[i] = m.Ref(id)
-		ids[i] = int(id)
-		if id > maxID {
-			maxID = id
-		}
+		preds[id], refs[i], ids[i] = ref(id), ref(id), int(id)
 	}
-	atoms := predicate.ComputeMapped(d, refs, ids, int(maxID)+1)
-	preds := make([]bdd.Ref, maxID+1)
-	for i, id := range live {
-		preds[id] = refs[i]
-	}
-	return aptree.Input{D: d, Preds: preds, Live: live, Atoms: atoms}
+	return aptree.Input{D: d, Preds: preds, Live: live, Atoms: predicate.ComputeMapped(d, refs, ids, numIDs)}
 }
 
 // Classify runs stage 1: it returns the AP Tree leaf (atomic predicate)
@@ -267,67 +247,37 @@ func (c *Classifier) Classify(pkt header.Packet) *aptree.Node {
 
 // Behavior runs both stages: it classifies the packet and computes its
 // network-wide behavior from the given ingress box. The whole query is
-// pinned to one snapshot epoch and acquires no lock; it runs safely
+// pinned to one published epoch and acquires no lock; it runs safely
 // concurrent with updates and reconstructions. Deterministic walks are
 // memoized per (ingress, atom) in the epoch's behavior cache, so repeated
 // queries in the same traffic class skip stage 2 entirely; the returned
 // behavior may be that shared cached value and must be treated as
 // read-only.
 func (c *Classifier) Behavior(ingress int, pkt header.Packet) *network.Behavior {
-	if ring := c.sink.Load(); ring != nil {
-		return c.traceQuery(ring, nil, ingress, pkt)
-	}
-	s := c.Manager.Snapshot()
-	leaf, _ := s.Classify(pkt)
-	return c.behaviorVia(c.cacheFor(s), nil, s, ingress, pkt, leaf, false)
+	return c.BehaviorWith(nil, ingress, pkt)
 }
 
-// cacheFor resolves the behavior cache for queries pinned to s: the
-// published epoch's cache when s is (still) the published snapshot,
-// creating and installing it on first use; nil when s is a retired epoch,
-// whose queries walk uncached rather than thrash the live table. The
-// install races benignly — CompareAndSwap serializes writers, and a
-// loser that cannot return a cache matching s returns nil, which is
-// always safe (the next query self-heals the pointer).
-func (c *Classifier) cacheFor(s *aptree.Snapshot) *network.BehaviorCache {
-	bc := c.bcache.Load()
-	if bc != nil && bc.Epoch() == s {
-		return bc
-	}
-	if c.Manager.Snapshot() != s {
-		return nil
-	}
-	fresh := network.NewBehaviorCache(s, len(c.Net.Boxes))
-	if c.bcache.CompareAndSwap(bc, fresh) {
-		return fresh
-	}
-	if bc = c.bcache.Load(); bc != nil && bc.Epoch() == s {
-		return bc
-	}
-	return nil
-}
-
-// behaviorVia is the one stage-2 pipeline every query path — single
-// packet, batch, traced, snapshot-pinned — funnels through: consult the
-// epoch's behavior cache, walk on a miss (through the caller's Walker
-// scratch when given), and memoize the walk if it was deterministic.
-// With persist set the result never aliases Walker scratch, the form
-// batch queries need (all results of a batch must be valid at once).
-func (c *Classifier) behaviorVia(bc *network.BehaviorCache, w *network.Walker, s *aptree.Snapshot, ingress int, pkt header.Packet, leaf *aptree.Node, persist bool) *network.Behavior {
+// behaviorVia is the one stage-2 pipeline every query path funnels
+// through: consult epoch s's behavior cache bc (nil for none), walk the
+// epoch's wiring on a miss (through the caller's Walker scratch when
+// given), and memoize the walk if it was deterministic. With persist set
+// the result never aliases Walker scratch, the form batch queries need.
+func behaviorVia(bc *network.BehaviorCache, w *network.Walker, s *aptree.Snapshot, ingress int, pkt header.Packet, leaf *aptree.Node, persist bool) *network.Behavior {
 	debugCheckCacheEpoch(bc, s)
 	if bc != nil {
 		if b := bc.Lookup(ingress, leaf.AtomID); b != nil {
 			return b
 		}
 	}
+	net := wiringOf(s).net
 	var b *network.Behavior
 	if w != nil {
-		b = w.BehaviorPinned(s, ingress, pkt, leaf)
+		b = w.BehaviorPinned(net, s, ingress, pkt, leaf)
 		if persist || (bc != nil && b.Deterministic()) {
 			b = b.Clone()
 		}
 	} else {
-		b = c.Net.Behavior(&network.Env{Source: s}, ingress, pkt, leaf)
+		b = net.Behavior(&network.Env{Source: s}, ingress, pkt, leaf)
 	}
 	if bc != nil && b.Deterministic() {
 		bc.Store(ingress, leaf.AtomID, b)
@@ -335,41 +285,19 @@ func (c *Classifier) behaviorVia(bc *network.BehaviorCache, w *network.Walker, s
 	return b
 }
 
-// PinForVerify captures one consistent verification input: the published
-// epoch together with a deep copy of the topology as of that epoch.
-// Rule-delta batches mutate c.Net only inside the manager's write-locked
-// Update callback, so taking the pin and the copy under the manager's
-// read lock guarantees the pair is mutually consistent — no delta can
-// land between the snapshot load and the topology clone. The result is
-// immutable and stays valid under any amount of later churn; it is what
-// verify.New builds its Analyzer from.
-func (c *Classifier) PinForVerify() (*aptree.Snapshot, *network.Network) {
-	var snap *aptree.Snapshot
-	var net *network.Network
-	c.Manager.ReadPinned(func(s *aptree.Snapshot) {
-		snap = s
-		net = c.Net.Clone()
-	})
-	return snap, net
-}
-
 // NewWalker returns a reusable stage-2 traverser bound to this classifier,
 // for allocation-free hot query loops. One Walker per goroutine.
 func (c *Classifier) NewWalker() *network.Walker {
-	return network.NewWalker(c.Net, c.env)
+	return network.NewWalker(c.Net, nil)
 }
 
-// BehaviorWith runs both stages using the caller's Walker, pinned to one
-// snapshot epoch like Behavior; the result is read-only and valid until
-// the Walker's next query (cache hits return the longer-lived shared
-// behavior, but callers should assume the Walker-scratch lifetime).
+// BehaviorWith is Behavior through the caller's Walker (nil for none);
+// assume the result is valid only until the Walker's next query.
 func (c *Classifier) BehaviorWith(w *network.Walker, ingress int, pkt header.Packet) *network.Behavior {
 	if ring := c.sink.Load(); ring != nil {
 		return c.traceQuery(ring, w, ingress, pkt)
 	}
-	s := c.Manager.Snapshot()
-	leaf, _ := s.Classify(pkt)
-	return c.behaviorVia(c.cacheFor(s), w, s, ingress, pkt, leaf, false)
+	return c.Snapshot().BehaviorWith(w, ingress, pkt)
 }
 
 // NumPredicates reports the number of live predicates.
@@ -407,7 +335,12 @@ func (c *Classifier) Reconstruct(weighted bool) { c.Manager.Reconstruct(weighted
 // atom split/merge path — the rule-update-to-predicate-change conversion
 // of §VI-A made incremental end to end. See ApplyRuleDeltas for batches.
 func (c *Classifier) AddFwdRule(box int, r rule.FwdRule) {
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpAddFwdRule, Box: box, Rule: r}}); err != nil {
+	c.mustApply(RuleDelta{Op: OpAddFwdRule, Box: box, Rule: r})
+}
+
+// mustApply applies one delta, panicking on a validation error.
+func (c *Classifier) mustApply(dl RuleDelta) {
+	if err := c.ApplyRuleDeltas([]RuleDelta{dl}); err != nil {
 		panic(err)
 	}
 }
@@ -417,37 +350,39 @@ func (c *Classifier) AddFwdRule(box int, r rule.FwdRule) {
 // rule's predicates refined are merged back immediately rather than
 // tombstoned until the next Reconstruct.
 func (c *Classifier) RemoveFwdRule(box int, p rule.Prefix) bool {
-	removed := false
-	for _, r := range c.Dataset.Boxes[box].Fwd.Rules {
-		if r.Prefix == p {
-			removed = true
-			break
-		}
-	}
-	if !removed {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !slices.ContainsFunc(c.Dataset.Boxes[box].Fwd.Rules, func(r rule.FwdRule) bool { return r.Prefix == p }) {
 		return false
 	}
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpRemoveFwdRule, Box: box, Prefix: p}}); err != nil {
-		panic(err)
-	}
+	c.applyLocked([]RuleDelta{{Op: OpRemoveFwdRule, Box: box, Prefix: p}})
 	return true
 }
 
 // SetPortACL installs, replaces, or (with nil) removes the egress ACL of a
 // port, converting it to a predicate and updating the AP Tree in real time.
-// Like the rule-level updates, callers must externally synchronize with
-// Behavior.
 func (c *Classifier) SetPortACL(box, port int, acl *rule.ACL) {
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpSetPortACL, Box: box, Port: port, ACL: acl}}); err != nil {
-		panic(err)
-	}
+	c.mustApply(RuleDelta{Op: OpSetPortACL, Box: box, Port: port, ACL: acl})
 }
 
 // SetInACL installs, replaces, or (with nil) removes a box's ingress ACL.
 func (c *Classifier) SetInACL(box int, acl *rule.ACL) {
-	if err := c.ApplyRuleDeltas([]RuleDelta{{Op: OpSetInACL, Box: box, ACL: acl}}); err != nil {
-		panic(err)
-	}
+	c.mustApply(RuleDelta{Op: OpSetInACL, Box: box, ACL: acl})
+}
+
+// SetMiddlebox attaches (nil: detaches) a header-modifying middlebox to
+// a box (§V-E) as a new epoch, whose behavior cache starts empty. Do not
+// edit an attached middlebox's entries; attach a new one.
+func (c *Classifier) SetMiddlebox(box int, mb *network.Middlebox) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Manager.Update(func(tx *aptree.Tx) {
+		w := *tx.Wiring().(*wiring)
+		old := w.net
+		w.net = nextNet(old)
+		ownBox(w.net, old, box).MB = mb
+		tx.SetWiring(&w)
+	})
 }
 
 // ReconvertBox recomputes every port predicate of a box from scratch and
@@ -457,11 +392,16 @@ func (c *Classifier) SetInACL(box int, acl *rule.ACL) {
 // against; production callers should use ApplyRuleDeltas or the rule-level
 // mutators, which touch only the cone a change actually affects.
 func (c *Classifier) ReconvertBox(box int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	spec := &c.Dataset.Boxes[box]
 	c.Manager.Update(func(tx *aptree.Tx) {
+		w := *tx.Wiring().(*wiring)
+		old := w.net
+		w.net = nextNet(old)
 		preds := predicate.PortPredicates(tx.DD(), c.Layout, "dstIP", &spec.Fwd, spec.NumPorts)
 		for pi := 0; pi < spec.NumPorts; pi++ {
-			oldID := c.PortPred[box][pi]
+			oldID := old.Boxes[box].Ports[pi].Fwd
 			oldRef := bdd.False
 			if oldID != network.NoPred {
 				oldRef = tx.Ref(oldID)
@@ -476,8 +416,9 @@ func (c *Classifier) ReconvertBox(box int) {
 			if preds[pi] != bdd.False {
 				newID = tx.Add(preds[pi])
 			}
-			c.PortPred[box][pi] = newID
-			c.Net.Boxes[box].Ports[pi].Fwd = newID
+			ownBox(w.net, old, box).Ports[pi].Fwd = newID
 		}
+		w.rules = c.Dataset.NumRules()
+		tx.SetWiring(&w)
 	})
 }

@@ -14,9 +14,9 @@ import (
 // TestApdebugCacheEpochCheck drives the apdebug assertion that a cached
 // behavior is never served from a retired epoch: the cache's snapshot
 // pointer must equal the query's pinned snapshot at the single lookup
-// point (behaviorVia). cacheFor guarantees this by construction, so the
-// panic can only be provoked by calling the check directly with a
-// mismatched pair.
+// point (behaviorVia). The epoch owns its cache (behaviorCache), which
+// guarantees this by construction, so the panic can only be provoked by
+// calling the check directly with a mismatched pair.
 func TestApdebugCacheEpochCheck(t *testing.T) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 51, RuleScale: 0.01})
 	c, err := New(ds, Options{})
@@ -24,9 +24,12 @@ func TestApdebugCacheEpochCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := c.Manager.Snapshot()
-	bc := c.cacheFor(old)
+	bc := behaviorCache(old)
 	if bc == nil || bc.Epoch() != old {
-		t.Fatal("cacheFor must install a cache for the published epoch")
+		t.Fatal("the published epoch must own a cache built for it")
+	}
+	if behaviorCache(old) != bc {
+		t.Fatal("an epoch must keep one cache for its whole life")
 	}
 	// Matching pair and nil cache are silent.
 	debugCheckCacheEpoch(bc, old)
@@ -38,8 +41,8 @@ func TestApdebugCacheEpochCheck(t *testing.T) {
 		t.Fatal("reconstruction must publish a new snapshot")
 	}
 	// The normal path never pairs the old cache with the new epoch…
-	if got := c.cacheFor(fresh); got != nil && got.Epoch() != fresh {
-		t.Fatal("cacheFor returned a cache from a retired epoch")
+	if got := behaviorCache(fresh); got == bc || got.Epoch() != fresh {
+		t.Fatal("a new epoch must own a fresh cache")
 	}
 	// …and the assertion catches anyone who does.
 	defer func() {

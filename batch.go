@@ -42,7 +42,7 @@ type BatchBuffer struct {
 // NewBatchBuffer returns batch scratch space bound to this classifier.
 func (c *Classifier) NewBatchBuffer() *BatchBuffer {
 	return &BatchBuffer{
-		w:    network.NewWalker(c.Net, c.env),
+		w:    c.NewWalker(),
 		seen: make(map[batchKey]*network.Behavior),
 	}
 }
@@ -71,8 +71,7 @@ func (s *Snapshot) BehaviorBatchFrom(buf *BatchBuffer, ingress []int, pkts [][]b
 		panic(fmt.Sprintf("apclassifier: BehaviorBatchFrom length mismatch: %d ingresses, %d packets, %d leaves",
 			len(ingress), len(pkts), len(leaves)))
 	}
-	c := s.c
-	bc := c.cacheFor(s.s)
+	bc := behaviorCache(s.s)
 	clear(buf.seen)
 	if cap(buf.out) < len(pkts) {
 		buf.out = make([]*network.Behavior, 0, len(pkts))
@@ -84,7 +83,7 @@ func (s *Snapshot) BehaviorBatchFrom(buf *BatchBuffer, ingress []int, pkts [][]b
 			out = append(out, b)
 			continue
 		}
-		b := c.behaviorVia(bc, buf.w, s.s, ingress[i], pkts[i], leaves[i], true)
+		b := behaviorVia(bc, buf.w, s.s, ingress[i], pkts[i], leaves[i], true)
 		if b.Deterministic() {
 			// Only deterministic behaviors stand for their whole class;
 			// a Type-2/Type-3 walk is recomputed for every packet even

@@ -95,7 +95,7 @@ func TestBatchBypassesCacheForPayloadMiddlebox(t *testing.T) {
 
 	match := c.Manager.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
 	layout := ds.Layout
-	c.Net.Boxes[0].MB = &network.Middlebox{
+	c.SetMiddlebox(0, &network.Middlebox{
 		Name: "payload-mb",
 		Entries: []network.MBEntry{{
 			Match: match,
@@ -107,8 +107,8 @@ func TestBatchBypassesCacheForPayloadMiddlebox(t *testing.T) {
 				return nil // pass through
 			},
 		}},
-	}
-	defer func() { c.Net.Boxes[0].MB = nil }()
+	})
+	defer c.SetMiddlebox(0, nil)
 
 	wantEven := c.Behavior(0, even).String()
 	wantOdd := c.Behavior(0, odd).String()

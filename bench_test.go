@@ -121,7 +121,7 @@ func BenchmarkBehaviorBatch(b *testing.B) {
 	}
 	match := c.Manager.AddPredicate(func(d *bdd.DD) bdd.Ref { return bdd.True })
 	target := ds.PacketFromFields(ds.RandomFields(rand.New(rand.NewSource(7))))
-	c.Net.Boxes[0].MB = &network.Middlebox{
+	c.SetMiddlebox(0, &network.Middlebox{
 		Name: "bench-mb",
 		Entries: []network.MBEntry{{
 			Match: match, Type: network.MBDeterministic,
@@ -131,7 +131,7 @@ func BenchmarkBehaviorBatch(b *testing.B) {
 				return [][]byte{out}
 			},
 		}},
-	}
+	})
 
 	const flow = 16
 	rng := rand.New(rand.NewSource(8))

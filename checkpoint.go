@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"apclassifier/internal/checkpoint"
-	"apclassifier/internal/network"
 )
 
 // This file is the facade's warm-restart surface: capturing a running
@@ -16,76 +15,46 @@ import (
 // the restored manager.
 
 // CheckpointSource captures the classifier's published epoch plus the
-// dataset and topology wiring into an encodable Source. The snapshot
-// pins the classifier state, so encoding the result runs concurrently
-// with queries; the dataset and wiring are read here, so callers must
-// synchronize with rule updates exactly as Behavior's contract requires
-// (the HTTP server takes its read lock around this call).
+// dataset and topology wiring into an encodable Source. Epoch, rule-table
+// copy and delta cursor are taken together under the writer mutex, so
+// they describe one state; queries never wait.
 func (c *Classifier) CheckpointSource() *checkpoint.Source {
-	wiring := make([]checkpoint.BoxWiring, len(c.Net.Boxes))
-	for b, box := range c.Net.Boxes {
-		w := checkpoint.BoxWiring{
-			InACL:  box.InACL,
-			Fwd:    make([]int32, len(box.Ports)),
-			OutACL: make([]int32, len(box.Ports)),
+	c.mu.Lock()
+	s := c.Manager.Snapshot()
+	ds := c.Dataset.Clone()
+	seq := c.deltaSeq.Load()
+	c.mu.Unlock()
+	net := wiringOf(s).net
+	wiring := make([]checkpoint.BoxWiring, len(net.Boxes))
+	for b, box := range net.Boxes {
+		w := &wiring[b]
+		w.InACL, w.Fwd, w.OutACL = box.InACL, make([]int32, len(box.Ports)), make([]int32, len(box.Ports))
+		for p, port := range box.Ports {
+			w.Fwd[p], w.OutACL[p] = port.Fwd, port.OutACL
 		}
-		for p := range box.Ports {
-			w.Fwd[p] = box.Ports[p].Fwd
-			w.OutACL[p] = box.Ports[p].OutACL
-		}
-		wiring[b] = w
 	}
 	return &checkpoint.Source{
-		Snap:     c.Manager.Snapshot(),
-		Dataset:  c.Dataset,
+		Snap:     s,
+		Dataset:  ds,
 		Method:   c.Manager.Method(),
 		Wiring:   wiring,
-		DeltaSeq: c.deltaSeq.Load(),
+		DeltaSeq: seq,
 	}
 }
 
 // NewFromRestored assembles a Classifier around a decoded checkpoint:
-// the restored manager already answers queries, so all that remains is
-// rebuilding the stage-2 topology from the embedded dataset and binding
-// the checkpointed predicate IDs to it. No predicate is converted, no
-// atom computed, no tree built — that asymmetry is the point of warm
-// restart.
+// the restored manager already answers stage 1, so all that remains is
+// wiring the checkpointed predicate IDs into the dataset's topology. No
+// predicate is converted, no atom computed, no tree built — that
+// asymmetry is the point of warm restart.
 func NewFromRestored(res *checkpoint.Restored) (*Classifier, error) {
 	ds := res.Dataset
 	if len(res.Wiring) != len(ds.Boxes) {
 		return nil, fmt.Errorf("apclassifier: checkpoint wires %d boxes, dataset has %d", len(res.Wiring), len(ds.Boxes))
 	}
-	c := &Classifier{
-		Layout:  ds.Layout,
-		Manager: res.Manager,
-		Dataset: ds,
-	}
-	c.Net = network.New()
-	c.PortPred = make([][]int32, len(ds.Boxes))
-	for bi := range ds.Boxes {
-		c.Net.AddBox(ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
-		w := res.Wiring[bi]
-		if len(w.Fwd) != ds.Boxes[bi].NumPorts {
-			return nil, fmt.Errorf("apclassifier: checkpoint wires %d ports on box %q, dataset has %d",
-				len(w.Fwd), ds.Boxes[bi].Name, ds.Boxes[bi].NumPorts)
-		}
-		c.Net.Boxes[bi].InACL = w.InACL
-		c.PortPred[bi] = append([]int32(nil), w.Fwd...)
-		for pi := 0; pi < ds.Boxes[bi].NumPorts; pi++ {
-			c.Net.Boxes[bi].Ports[pi].Fwd = w.Fwd[pi]
-			c.Net.Boxes[bi].Ports[pi].OutACL = w.OutACL[pi]
-		}
-	}
-	for _, l := range ds.Links {
-		c.Net.Link(l.A, l.PA, l.B, l.PB)
-	}
-	for _, h := range ds.Hosts {
-		c.Net.AttachHost(h.Box, h.Port, h.Name)
-	}
-	if flatDisabledByEnv() {
-		c.Manager.SetFlatCompile(false)
-	}
-	c.env = &network.Env{Source: c.Manager}
+	// Per-box port counts were checked against the dataset by the decoder.
+	c := &Classifier{Layout: ds.Layout, Manager: res.Manager, Dataset: ds}
+	c.wire(res.Wiring)
 	// Resume the firehose cursor: sequenced /rules/batch deliveries the
 	// checkpointed classifier already applied stay acknowledged-only.
 	c.deltaSeq.Store(res.DeltaSeq)

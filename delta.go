@@ -86,28 +86,29 @@ func (c *Classifier) validateDelta(dl RuleDelta) error {
 // cones (rule.Cone), so only the port predicates whose covering set
 // actually changed are recomputed — and only inside the cone regions
 // (predicate.DeltaPortPredicates). Each changed predicate is swapped in the
-// registry and the live tree by the atom-merge/split delta path (Tx.Remove
-// + Tx.Add), and the topology is rewired, all under a single
-// Manager.Update: queries observe either the pre-batch or the post-batch
-// epoch, never an intermediate state. Like the individual mutators, callers
-// must externally synchronize with each other (the server holds its write
-// lock); queries need no synchronization.
+// registry and the tree by the atom-merge/split delta path (Tx.Remove +
+// Tx.Add), and the rewired topology rides in the same Manager.Update:
+// queries observe either the pre-batch or the post-batch epoch, never an
+// intermediate state. Concurrent writers serialize on the classifier's
+// writer mutex.
 func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
-	for i, dl := range deltas {
-		if err := c.validateDelta(dl); err != nil {
-			return fmt.Errorf("apclassifier: delta %d: %w", i, err)
-		}
-	}
+	_, err := c.ApplyRuleDeltasSeq(0, deltas)
+	return err
+}
 
-	// Mutate the dataset first, collecting per-box LPM cones. The cones
-	// are exact against the final table: DeltaPortPredicates recomputes
-	// winners inside the union of regions from the post-batch table, and
-	// nothing outside the union changed.
+// aclOp is one ACL slot assignment of a delta batch.
+type aclOp struct {
+	box, port int // port == -1 for box ingress ACLs
+	acl       *rule.ACL
+}
+
+// applyLocked applies a validated batch to the dataset's tables and
+// publishes the resulting predicates and wiring as one epoch; c.mu held.
+func (c *Classifier) applyLocked(deltas []RuleDelta) {
+	// The cones are exact against the final table: DeltaPortPredicates
+	// recomputes winners inside the union of regions from the post-batch
+	// table, and nothing outside the union changed.
 	cones := make(map[int][]rule.Cone)
-	type aclOp struct {
-		box, port int // port == -1 for box ingress ACLs
-		acl       *rule.ACL
-	}
 	var aclOps []aclOp
 	for _, dl := range deltas {
 		spec := &c.Dataset.Boxes[dl.Box]
@@ -131,78 +132,91 @@ func (c *Classifier) ApplyRuleDeltas(deltas []RuleDelta) error {
 		}
 	}
 	if len(cones) == 0 && len(aclOps) == 0 {
-		return nil
+		return
 	}
+	c.Manager.Update(func(tx *aptree.Tx) {
+		net := c.rewire(tx, func(box int) *rule.FwdTable { return &c.Dataset.Boxes[box].Fwd }, cones, aclOps)
+		tx.SetWiring(&wiring{net: net, rules: c.Dataset.NumRules(), aclRules: c.Dataset.NumACLRules()})
+	})
+}
 
+// rewire swaps, inside tx, the port predicates of table(box) that changed
+// inside each box's cones, then the ACL assignments, and returns the
+// transaction's topology rewired to the new IDs (copy-on-write).
+func (c *Classifier) rewire(tx *aptree.Tx, table func(box int) *rule.FwdTable, cones map[int][]rule.Cone, aclOps []aclOp) *network.Network {
+	old := tx.Wiring().(*wiring).net
+	next := nextNet(old)
 	boxes := make([]int, 0, len(cones))
 	for box := range cones {
 		boxes = append(boxes, box)
 	}
 	sort.Ints(boxes)
-
-	c.Manager.Update(func(tx *aptree.Tx) {
-		for _, box := range boxes {
-			spec := &c.Dataset.Boxes[box]
-			pd := predicate.DeltaPortPredicates(tx.DD(), c.Layout, "dstIP", &spec.Fwd,
-				cones[box], spec.NumPorts, func(port int) bdd.Ref {
-					if id := c.PortPred[box][port]; id != network.NoPred {
-						return tx.Ref(id)
-					}
-					return bdd.False
-				})
-			for _, dp := range pd {
-				if oldID := c.PortPred[box][dp.Port]; oldID != network.NoPred {
-					tx.Remove(oldID)
+	for _, box := range boxes {
+		ports := old.Boxes[box].Ports
+		pd := predicate.DeltaPortPredicates(tx.DD(), c.Layout, "dstIP", table(box),
+			cones[box], len(ports), func(port int) bdd.Ref {
+				if id := ports[port].Fwd; id != network.NoPred {
+					return tx.Ref(id)
 				}
-				newID := network.NoPred
-				if dp.New != bdd.False {
-					newID = tx.Add(dp.New)
-				}
-				c.PortPred[box][dp.Port] = newID
-				c.Net.Boxes[box].Ports[dp.Port].Fwd = newID
+				return bdd.False
+			})
+		for _, dp := range pd {
+			if oldID := ports[dp.Port].Fwd; oldID != network.NoPred {
+				tx.Remove(oldID)
 			}
+			newID := network.NoPred
+			if dp.New != bdd.False {
+				newID = tx.Add(dp.New)
+			}
+			ownBox(next, old, box).Ports[dp.Port].Fwd = newID
 		}
-		for _, op := range aclOps {
-			var slot *int32
-			if op.port < 0 {
-				slot = &c.Net.Boxes[op.box].InACL
-			} else {
-				slot = &c.Net.Boxes[op.box].Ports[op.port].OutACL
-			}
-			newRef := bdd.False
-			if op.acl != nil {
-				newRef = predicate.ACLPredicate(tx.DD(), c.Layout, op.acl)
-			}
-			if old := *slot; old != network.NoPred {
-				if op.acl != nil && tx.Ref(old) == newRef {
-					continue // identical predicate: no structural change
-				}
-				tx.Remove(old)
-			}
-			id := network.NoPred
-			if op.acl != nil {
-				id = tx.Add(newRef)
-			}
-			*slot = id
+	}
+	for _, op := range aclOps {
+		var slot *int32
+		if op.port < 0 {
+			slot = &ownBox(next, old, op.box).InACL
+		} else {
+			slot = &ownBox(next, old, op.box).Ports[op.port].OutACL
 		}
-	})
-	return nil
+		newRef := bdd.False
+		if op.acl != nil {
+			newRef = predicate.ACLPredicate(tx.DD(), c.Layout, op.acl)
+		}
+		if old := *slot; old != network.NoPred {
+			if op.acl != nil && tx.Ref(old) == newRef {
+				continue // identical predicate: no structural change
+			}
+			tx.Remove(old)
+		}
+		id := network.NoPred
+		if op.acl != nil {
+			id = tx.Add(newRef)
+		}
+		*slot = id
+	}
+	return next
 }
 
 // ApplyRuleDeltasSeq is ApplyRuleDeltas for a sequenced firehose: batches
 // carry monotonically increasing sequence numbers, and a batch whose seq is
 // at or below the last applied one is acknowledged without being applied
 // (applied == false), making redelivery after a reconnect or a warm restart
-// idempotent. seq 0 means unsequenced and always applies. The cursor is
+// idempotent. seq 0 means unsequenced and always applies. The cursor check
+// and the apply are one step under the writer mutex, and the cursor is
 // recorded in checkpoints (see CheckpointSource), so a restored classifier
 // resumes rejecting already-applied deltas.
 func (c *Classifier) ApplyRuleDeltasSeq(seq uint64, deltas []RuleDelta) (applied bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if seq != 0 && seq <= c.deltaSeq.Load() {
 		return false, nil
 	}
-	if err := c.ApplyRuleDeltas(deltas); err != nil {
-		return false, err
+	for i, dl := range deltas {
+		if err := c.validateDelta(dl); err != nil {
+			return false, fmt.Errorf("apclassifier: delta %d: %w", i, err)
+		}
 	}
+	c.applyLocked(deltas)
 	if seq != 0 {
 		c.deltaSeq.Store(seq)
 	}

@@ -44,7 +44,7 @@ func main() {
 			ds.Layout.Set(pkt, "dstIP", uint64(dst))
 		})
 	}
-	c.Net.Boxes[natBox].MB = &network.Middlebox{
+	nat := &network.Middlebox{
 		Name: "nat1",
 		Entries: []network.MBEntry{{
 			Match:   matchID,
@@ -52,6 +52,7 @@ func main() {
 			Rewrite: rewriteTo(insideA),
 		}},
 	}
+	c.SetMiddlebox(natBox, nat)
 
 	pkt := ds.PacketFromFields(rule.Fields{Dst: vip | 0x1234})
 
@@ -62,22 +63,19 @@ func main() {
 	fmt.Println("-- Type 1 (deterministic) NAT at chicago --")
 	b := c.Behavior(natBox, pkt)
 	fmt.Printf("from %s: %s\n", ds.Boxes[natBox].Name, b)
-	fmt.Printf("flow-table cache entries after first packet: %d\n", c.Net.Boxes[natBox].MB.CacheLen())
+	fmt.Printf("flow-table cache entries after first packet: %d\n", nat.CacheLen())
 	c.Behavior(natBox, pkt)
-	fmt.Printf("after second packet (cache hit): %d\n\n", c.Net.Boxes[natBox].MB.CacheLen())
+	fmt.Printf("after second packet (cache hit): %d\n\n", nat.CacheLen())
 
 	fmt.Println("-- Type 3 (probabilistic) load balancer: VIP -> {A, B} --")
-	c.Net.Boxes[natBox].MB.Entries[0] = network.MBEntry{
-		Match: matchID,
-		Type:  network.MBProbabilistic,
-		Rewrite: func(p []byte) [][]byte {
-			a := append([]byte(nil), p...)
-			ds.Layout.Set(a, "dstIP", uint64(insideA))
-			b := append([]byte(nil), p...)
-			ds.Layout.Set(b, "dstIP", uint64(insideB))
-			return [][]byte{a, b}
-		},
-	}
+	lb := network.MBEntry{Match: matchID, Type: network.MBProbabilistic, Rewrite: func(p []byte) [][]byte {
+		a := append([]byte(nil), p...)
+		ds.Layout.Set(a, "dstIP", uint64(insideA))
+		b := append([]byte(nil), p...)
+		ds.Layout.Set(b, "dstIP", uint64(insideB))
+		return [][]byte{a, b}
+	}}
+	c.SetMiddlebox(natBox, &network.Middlebox{Name: "lb1", Entries: []network.MBEntry{lb}})
 	b = c.Behavior(natBox, pkt)
 	fmt.Printf("from %s: %s\n", ds.Boxes[natBox].Name, b)
 	fmt.Printf("probabilistic: %v, possible deliveries: %d\n", b.Probabilistic, len(b.Deliveries))

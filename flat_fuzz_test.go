@@ -97,7 +97,7 @@ func FuzzFlatVsPointer(f *testing.F) {
 		// Behavior must agree too — checked through the facade's pinned
 		// stage-2 path, so a leaf divergence surfaces as the full
 		// network-wide consequence, not just an atom ID.
-		fs := &Snapshot{c: c, s: s}
+		fs := &Snapshot{s: s}
 		bf := fs.BehaviorFrom(in, pkt, got).String()
 		bp := fs.BehaviorFrom(in, pkt, want).String()
 		if bf != bp {

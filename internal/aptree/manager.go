@@ -75,6 +75,11 @@ type Manager struct {
 	// (capacity-one, non-blocking send) after every snapshot publication.
 	//lint:guard mu
 	notify chan struct{}
+
+	// wiring is the owner's per-epoch payload (Tx.SetWiring); every
+	// publish, swaps included, carries it into the new snapshot.
+	//lint:guard mu
+	wiring any
 }
 
 type journalOp struct {
@@ -111,43 +116,21 @@ func NewManagerWith(d *bdd.DD, reg *Registry, tree *Tree, method Method) *Manage
 	return m
 }
 
-// publishLocked captures the current tree, DD and liveness set into a
-// fresh immutable Snapshot and stores it for the lock-free query path.
-// Callers must hold m.mu (or be a constructor with exclusive access).
+// publishLocked captures the current tree, DD, liveness set and wiring
+// into a fresh immutable Snapshot for the lock-free query path. Callers
+// must hold m.mu (or be a constructor with exclusive access).
 func (m *Manager) publishLocked() {
-	live := predicate.NewBitset(m.reg.NumIDs())
-	for id, l := range m.reg.live {
-		if l {
-			live.Set(id, true)
-		}
-	}
-	view := m.d.Freeze()
-	var flat *Flat
-	if !m.flatOff {
-		if m.flatPlans == nil || m.flatPlans.d != m.d {
-			m.flatPlans = newFlatPlanner(m.d)
-		}
-		start := time.Now()
-		flat = compileFlat(m.tree, view, m.flatPlans)
-		mFlatBuildDur.Record(time.Since(start).Seconds())
-		mFlatBuilds.Inc()
-		st := flat.Stats()
-		mFlatNodes.Set(int64(st.Nodes))
-		mFlatBytes.Set(int64(st.Bytes))
-		mFlatMask.Set(int64(st.MaskNodes))
-		mFlatTable.Set(int64(st.TableNodes))
-		mFlatCubes.Set(int64(st.CubeNodes))
-		mFlatFallback.Set(int64(st.FallbackNodes))
-	}
+	view, flat := m.compileLocked()
 	m.snap.Store(&Snapshot{
 		tree:    m.tree,
 		view:    view,
 		flat:    flat,
-		live:    live,
+		live:    m.reg.liveBits(),
 		numLive: m.reg.n,
 		version: m.version,
 		count:   m.tree.CountVisits,
 		visits:  m.tree.visits.view(),
+		wiring:  m.wiring,
 	})
 	// Publish boundaries are also the metrics flush points: the write
 	// lock is held, so the DD's plain counters are stable to read.
@@ -161,23 +144,38 @@ func (m *Manager) publishLocked() {
 	}
 }
 
+// compileLocked returns the frozen view and flat core for the live tree,
+// reusing the published pair when neither the tree version nor the
+// compile mode changed (stage 1 reads neither wiring nor tombstones).
+func (m *Manager) compileLocked() (*bdd.View, *Flat) {
+	if prev := m.snap.Load(); prev != nil && prev.tree == m.tree && (prev.flat == nil) == m.flatOff {
+		return prev.view, prev.flat
+	}
+	view := m.d.Freeze()
+	if m.flatOff {
+		return view, nil
+	}
+	if m.flatPlans == nil || m.flatPlans.d != m.d {
+		m.flatPlans = newFlatPlanner(m.d)
+	}
+	start := time.Now()
+	flat := compileFlat(m.tree, view, m.flatPlans)
+	mFlatBuildDur.Record(time.Since(start).Seconds())
+	mFlatBuilds.Inc()
+	st := flat.Stats()
+	mFlatNodes.Set(int64(st.Nodes))
+	mFlatBytes.Set(int64(st.Bytes))
+	mFlatMask.Set(int64(st.MaskNodes))
+	mFlatTable.Set(int64(st.TableNodes))
+	mFlatCubes.Set(int64(st.CubeNodes))
+	mFlatFallback.Set(int64(st.FallbackNodes))
+	return view, flat
+}
+
 // Snapshot returns the current published epoch. The result is immutable
 // and remains valid (pinned to its epoch) across any number of later
 // updates and reconstructions.
 func (m *Manager) Snapshot() *Snapshot { return m.snap.Load() }
-
-// ReadPinned runs fn with the published epoch while holding the read
-// lock, guaranteeing no Update or Reconstruct swap lands between the pin
-// and whatever epoch-coupled state fn captures alongside it. Mutations
-// that must stay consistent with the snapshot (the facade's topology
-// tables, for instance) happen inside Update's write-locked callback, so
-// fn observes them atomically with the epoch. fn must not call back into
-// the manager and must not block on other manager users.
-func (m *Manager) ReadPinned(fn func(s *Snapshot)) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	fn(m.snap.Load())
-}
 
 // SetFlatCompile toggles publish-time compilation of the flat classify
 // core and republishes the current epoch in the chosen form. On is the
@@ -224,71 +222,78 @@ func (m *Manager) Classify(pkt []byte) (*Node, uint64) {
 }
 
 // Tx is a handle for compound predicate updates executed atomically under
-// the manager's write lock; see Manager.Update. Tx methods touch the
-// guarded tree and DD directly: Update holds the write lock for the whole
-// callback.
+// the manager's write lock; see Manager.Update and Manager.Fork. It edits
+// its own tree and registry (the live ones, or Fork's private copies) and
+// builds BDDs in the live DD.
 type Tx struct {
-	m *Manager
+	m      *Manager
+	reg    *Registry
+	tree   *Tree
+	wiring any
+	// fork marks a private transaction: neither journaled nor counted.
+	fork bool
 	// stats accumulates the structural delta work of the transaction's
 	// Add/Remove calls; Update flushes it into the apc_delta_* metrics.
 	stats DeltaStats
 }
 
-// DD returns the live BDD manager; valid only inside the Update callback.
+// DD returns the live BDD manager; valid only inside the callback.
 //
-//lint:ignore lockguard Update holds m.mu for the life of the Tx
+//lint:ignore lockguard Update and Fork hold m.mu for the life of the Tx
 func (tx *Tx) DD() *bdd.DD { return tx.m.d }
 
 // Ref returns the BDD of predicate id.
-func (tx *Tx) Ref(id int32) bdd.Ref { return tx.m.reg.Ref(id) }
+func (tx *Tx) Ref(id int32) bdd.Ref { return tx.reg.Ref(id) }
 
-// IsLive reports whether predicate id is not tombstoned.
-func (tx *Tx) IsLive(id int32) bool { return tx.m.reg.IsLive(id) }
+// Wiring returns the wiring the transaction will publish: the current
+// epoch's until SetWiring replaces it.
+func (tx *Tx) Wiring() any { return tx.wiring }
+
+// SetWiring attaches the owner's per-epoch payload to the epoch this
+// transaction publishes; snapshots share it, so it must stay immutable.
+func (tx *Tx) SetWiring(v any) { tx.wiring = v }
+
+// record journals one operation for an in-flight rebuild and counts it
+// toward the reconstruction trigger; private transactions do neither.
+func (tx *Tx) record(op journalOp) {
+	if m := tx.m; !tx.fork {
+		m.updatesSinceSwap++
+		if m.journal != nil {
+			m.journal = append(m.journal, op)
+		}
+	}
+}
 
 // Add registers a predicate BDD (built in tx.DD()) and splices it into the
-// live tree in real time (§VI-A), returning its new global ID. The tree
+// tree in real time (§VI-A), returning its new global ID. The tree
 // update is persistent: pinned snapshots keep the previous version.
 //
-//lint:ignore lockguard Update holds m.mu for the life of the Tx
+//lint:ignore lockguard Update and Fork hold m.mu for the life of the Tx
 func (tx *Tx) Add(ref bdd.Ref) int32 {
-	m := tx.m
-	m.d.Retain(ref)
-	id := m.reg.Add(ref)
-	m.tree = m.tree.addPredicate(id, ref, &tx.stats)
-	m.updatesSinceSwap++
-	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{id: id, ref: ref})
-	}
+	tx.m.d.Retain(ref)
+	id := tx.reg.Add(ref)
+	tx.tree = tx.tree.addPredicate(id, ref, &tx.stats)
+	tx.record(journalOp{id: id, ref: ref})
 	return id
 }
 
-// Delete tombstones a predicate (§VI-A): the live tree keeps routing on
-// it, but behavior computation skips it; the next reconstruction removes
-// it physically.
+// Delete tombstones a predicate (§VI-A): the tree keeps routing on it,
+// but behavior computation skips it; the next reconstruction removes it
+// physically.
 func (tx *Tx) Delete(id int32) {
-	m := tx.m
-	m.reg.Delete(id)
-	m.updatesSinceSwap++
-	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{del: true, id: id})
-	}
+	tx.reg.Delete(id)
+	tx.record(journalOp{del: true, id: id})
 }
 
 // Remove physically deletes a live predicate: the registry slot dies (IDs
-// are never reused) and the live tree runs the atom-merge dual of
+// are never reused) and the tree runs the atom-merge dual of
 // AddPredicate, so the partition coarsens immediately instead of waiting
 // for a Reconstruct to sweep tombstones. Like Add, the tree update is
 // persistent and pinned snapshots keep the previous version.
-//
-//lint:ignore lockguard Update holds m.mu for the life of the Tx
 func (tx *Tx) Remove(id int32) {
-	m := tx.m
-	m.reg.Delete(id)
-	m.tree = m.tree.removePredicate(id, &tx.stats)
-	m.updatesSinceSwap++
-	if m.journal != nil {
-		m.journal = append(m.journal, journalOp{del: true, hard: true, id: id})
-	}
+	tx.reg.Delete(id)
+	tx.tree = tx.tree.removePredicate(id, &tx.stats)
+	tx.record(journalOp{del: true, hard: true, id: id})
 }
 
 // Update runs fn under the write lock and republishes the snapshot. All
@@ -300,8 +305,9 @@ func (m *Manager) Update(fn func(tx *Tx)) {
 	start := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tx := &Tx{m: m}
+	tx := &Tx{m: m, reg: m.reg, tree: m.tree, wiring: m.wiring}
 	fn(tx)
+	m.tree, m.wiring = tx.tree, tx.wiring
 	m.publishLocked()
 	mUpdates.Inc()
 	mUpdateDur.Record(time.Since(start).Seconds())
@@ -310,6 +316,25 @@ func (m *Manager) Update(fn func(tx *Tx)) {
 		mDeltaSplits.Add(tx.stats.Splits)
 		mDeltaMerges.Add(tx.stats.Merges)
 		mDeltaApplyDur.Record(time.Since(start).Seconds())
+	}
+}
+
+// Fork runs fn against a private copy of the live predicate state and
+// returns the resulting epoch unpublished — a what-if's hypothesis. Live
+// state is untouched except that the live DD gains fn's nodes. The
+// snapshot classifies through the pointer tree and counts no visits.
+func (m *Manager) Fork(fn func(tx *Tx)) *Snapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tx := &Tx{m: m, reg: m.reg.Clone(), tree: m.tree, wiring: m.wiring, fork: true}
+	fn(tx)
+	return &Snapshot{
+		tree:    tx.tree,
+		view:    m.d.Freeze(),
+		live:    tx.reg.liveBits(),
+		numLive: tx.reg.n,
+		version: m.version,
+		wiring:  tx.wiring,
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // Snapshot is one immutable epoch of classifier state: an AP Tree, a
-// frozen evaluation view of the BDD it labels its nodes with, and the
-// predicate-liveness set, all captured together under the manager's
-// write lock and published through a single atomic pointer.
+// frozen evaluation view of the BDD it labels its nodes with, the
+// predicate-liveness set and the owner's wiring payload, all captured
+// together under the manager's write lock and published through a single
+// atomic pointer.
 //
 // Everything reachable from a Snapshot is immutable, so any number of
 // goroutines may Classify through one concurrently — with updates, with
@@ -47,6 +48,27 @@ type Snapshot struct {
 	// atomView caches the lazily built per-epoch atom index (see
 	// Snapshot.Atoms in atomview.go). CAS-installed; benign build race.
 	atomView atomic.Pointer[AtomView]
+
+	// wiring is the owner's payload for this epoch (Tx.SetWiring).
+	wiring any
+	// memo holds the value Memo installs, the way atomView is installed.
+	memo atomic.Value
+}
+
+// Wiring returns the read-only payload attached with Tx.SetWiring (nil if
+// none), shared by every snapshot published until the next SetWiring.
+func (s *Snapshot) Wiring() any { return s.wiring }
+
+// Memo returns the epoch-scoped value built by mk on first use (the
+// facade's behavior cache). Concurrent first calls race benignly: one
+// value is installed and every caller gets it. mk must always return the
+// same dynamic type, never nil.
+func (s *Snapshot) Memo(mk func(*Snapshot) any) any {
+	if v := s.memo.Load(); v != nil {
+		return v
+	}
+	s.memo.CompareAndSwap(nil, mk(s))
+	return s.memo.Load()
 }
 
 // classifyPointer is the pointer-tree stage-1 walk, visit counting

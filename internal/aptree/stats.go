@@ -33,7 +33,7 @@ var (
 	mDeltaMerges = obs.Default.Counter("apc_delta_merges_total",
 		"Atom merges performed by delta transactions (RemovePredicate joining sibling leaves).")
 	mDeltaApplyDur = obs.Default.Histogram("apc_delta_apply_duration_seconds",
-		"Wall time of one delta transaction (structural splice + republish).", obs.DefBuckets)
+		"Wall time of one delta transaction (structural splice + republish), recorded only for transactions that split, merged or relabeled at least one leaf.", obs.DefBuckets)
 
 	// Flat classify-core counters: compile work done at publish time and
 	// the shape of the latest compiled form. All recorded inside

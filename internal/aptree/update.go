@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"apclassifier/internal/bdd"
+	"apclassifier/internal/predicate"
 )
 
 // AddPredicate installs a new predicate with the given global ID per
@@ -153,6 +154,16 @@ func (r *Registry) LiveIDs() []int32 {
 
 // Refs returns the full ID-indexed BDD slice (tombstoned slots included).
 func (r *Registry) Refs() []bdd.Ref { return r.refs }
+
+// liveBits returns the liveness set a snapshot captures: bit id set iff
+// predicate id is not tombstoned.
+func (r *Registry) liveBits() predicate.Bitset {
+	live := predicate.NewBitset(len(r.refs))
+	for id, l := range r.live {
+		live.Set(id, l)
+	}
+	return live
+}
 
 // Clone returns an independent copy (used to snapshot for reconstruction).
 func (r *Registry) Clone() *Registry {

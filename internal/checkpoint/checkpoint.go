@@ -74,9 +74,9 @@ type BoxWiring struct {
 // Source is everything Encode serializes: one immutable epoch plus the
 // dataset and wiring that give its predicate IDs meaning. The snapshot
 // pins the epoch, so encoding runs concurrently with queries and
-// updates; Dataset and Wiring are read directly, so callers must hold
-// them stable for the duration (the same external synchronization rule
-// as apclassifier.Behavior vs rule updates).
+// updates; Dataset and Wiring are read directly and must not change
+// while a Source is encoded (apclassifier.CheckpointSource hands over
+// private copies).
 type Source struct {
 	Snap    *aptree.Snapshot
 	Dataset *netgen.Dataset

@@ -41,9 +41,8 @@ type Runner struct {
 }
 
 // StartRunner launches the checkpointer goroutine. capture must return
-// a consistent Source (callers embedding the classifier under an outer
-// lock, like the HTTP server, take that lock inside capture); it runs on
-// the runner's goroutine. An initial checkpoint is written immediately
+// a consistent Source, as apclassifier's CheckpointSource does; it runs
+// on the runner's goroutine. An initial checkpoint is written immediately
 // so a fresh directory is restorable as soon as the service is up, and
 // Stop writes a final one if state changed since the last save.
 func StartRunner(dir *Dir, m *aptree.Manager, capture func() *Source, cfg RunnerConfig) *Runner {

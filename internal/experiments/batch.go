@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"apclassifier"
-	"apclassifier/internal/network"
 )
 
 // flowLen is how many consecutive packets a bursty trace repeats per
@@ -38,7 +37,7 @@ func (e *Env) BatchThroughput(sizes []int, traceLen int, minDur time.Duration) *
 	for _, name := range e.networks() {
 		_, ds := e.network(name)
 		mb := newMBBench(ds, traceLen)
-		mb.attachDeterministic(1)
+		mb.attach(1, 1) // one all-Type-1 flow table (TableII placement)
 
 		rng := rand.New(rand.NewSource(230))
 		in := mb.c.TreeInput()
@@ -77,33 +76,6 @@ func (e *Env) BatchThroughput(sizes []int, traceLen int, minDur time.Duration) *
 		mb.detach()
 	}
 	return t
-}
-
-// attachDeterministic installs numMB all-Type-1 middlebox flow tables on
-// the highest-degree boxes (the TableII placement, ratio 1.0).
-func (m *mbBench) attachDeterministic(numMB int) {
-	for mbi := 0; mbi < numMB; mbi++ {
-		mb := &network.Middlebox{Name: fmt.Sprintf("MB%d", mbi)}
-		for ei := 0; ei < mbEntries; ei++ {
-			tgt := m.targets[ei]
-			mb.Entries = append(mb.Entries, network.MBEntry{
-				Match: m.matchIDs[ei], Type: network.MBDeterministic,
-				Rewrite: func(pkt []byte) [][]byte {
-					out := make([]byte, len(tgt))
-					copy(out, tgt)
-					return [][]byte{out}
-				},
-			})
-		}
-		m.c.Net.Boxes[m.boxOrder[mbi]].MB = mb
-	}
-}
-
-// detach removes every middlebox attached by attachDeterministic/measure.
-func (m *mbBench) detach() {
-	for _, b := range m.c.Net.Boxes {
-		b.MB = nil
-	}
 }
 
 // measureSingleQPS runs the single-packet path with a reused Walker.

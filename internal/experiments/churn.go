@@ -80,11 +80,9 @@ type churnResult struct {
 // runChurn replays events through apply while queryWorkers goroutines
 // classify packets on the lock-free snapshot path, stopping after budget
 // (but applying at least minEvents so the slowest engine still reports a
-// rate). Queries go through Manager.Classify: the delta and reconvert
-// engines rewire facade topology state between epochs, which stage-2
-// Behavior callers must externally synchronize with, but stage-1
-// classification is wait-free against updates by design — exactly the
-// concurrency the experiment is about.
+// rate). Queries go through Manager.Classify: stage-1 classification is
+// wait-free against updates by design — exactly the concurrency the
+// experiment is about.
 func runChurn(c *apclassifier.Classifier, ds *netgen.Dataset, events []churnEvent,
 	apply func(churnEvent), queryWorkers int, budget time.Duration, minEvents int) churnResult {
 

@@ -112,9 +112,10 @@ func newMBBench(ds *netgen.Dataset, traceLen int) *mbBench {
 	return m
 }
 
-// measure attaches numMB middleboxes with the given deterministic ratio,
-// measures end-to-end behavior-computation throughput, and detaches them.
-func (m *mbBench) measure(numMB int, ratio float64, minDur time.Duration) float64 {
+// attach installs numMB middlebox flow tables on the highest-degree
+// boxes, a ratio share of whose entries are deterministic (Type 1) and
+// the rest payload-dependent (Type 2).
+func (m *mbBench) attach(numMB int, ratio float64) {
 	numDet := int(ratio*mbEntries + 0.5)
 	for mbi := 0; mbi < numMB; mbi++ {
 		mb := &network.Middlebox{Name: fmt.Sprintf("MB%d", mbi)}
@@ -148,18 +149,28 @@ func (m *mbBench) measure(numMB int, ratio float64, minDur time.Duration) float6
 				Match: m.matchIDs[ei], Type: typ, Rewrite: rewrite,
 			})
 		}
-		m.c.Net.Boxes[m.boxOrder[mbi]].MB = mb
+		m.c.SetMiddlebox(m.boxOrder[mbi], mb)
 	}
+}
 
+// detach removes every attached middlebox.
+func (m *mbBench) detach() {
+	for b, box := range m.c.Snapshot().Net().Boxes {
+		if box.MB != nil {
+			m.c.SetMiddlebox(b, nil)
+		}
+	}
+}
+
+// measure attaches numMB middleboxes with the given deterministic ratio,
+// measures end-to-end behavior-computation throughput, and detaches them.
+func (m *mbBench) measure(numMB int, ratio float64, minDur time.Duration) float64 {
+	m.attach(numMB, ratio)
+	defer m.detach()
 	walker := m.c.NewWalker()
 	i := 0
-	q := measureQPS(func(p []byte) {
+	return measureQPS(func(p []byte) {
 		m.c.BehaviorWith(walker, m.ingresses[i%len(m.ingresses)], p)
 		i++
 	}, m.trace, minDur)
-
-	for _, b := range m.c.Net.Boxes {
-		b.MB = nil
-	}
-	return q
 }

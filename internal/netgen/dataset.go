@@ -13,7 +13,9 @@ package netgen
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"apclassifier/internal/header"
 	"apclassifier/internal/rule"
@@ -49,6 +51,19 @@ type Dataset struct {
 	Boxes  []BoxSpec
 	Links  []Link
 	Hosts  []Host
+}
+
+// Clone returns a copy whose rule tables and ACL maps change independently
+// of ds; topology and the ACLs themselves (replaced, never edited) are shared.
+func (ds *Dataset) Clone() *Dataset {
+	c := *ds
+	c.Boxes = make([]BoxSpec, len(ds.Boxes))
+	for i, b := range ds.Boxes {
+		b.Fwd.Rules = slices.Clone(b.Fwd.Rules)
+		b.PortACL = maps.Clone(b.PortACL)
+		c.Boxes[i] = b
+	}
+	return &c
 }
 
 // NumRules reports the total number of forwarding rules.

@@ -12,6 +12,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"apclassifier/internal/aptree"
@@ -69,22 +70,6 @@ type Network struct {
 
 // New returns an empty network.
 func New() *Network { return &Network{} }
-
-// Clone returns a deep copy of the topology graph: boxes and ports are
-// copied, so later in-place mutations of n (the facade's delta engine
-// rewrites port predicate IDs and ACLs under its manager's write lock)
-// never show through the copy. Middlebox pointers are shared — their
-// tables are not part of the graph and callers that reject middleboxes
-// (the verification engine) never read them.
-func (n *Network) Clone() *Network {
-	c := &Network{Boxes: make([]*Box, len(n.Boxes))}
-	for i, b := range n.Boxes {
-		nb := *b
-		nb.Ports = append([]Port(nil), b.Ports...)
-		c.Boxes[i] = &nb
-	}
-	return c
-}
 
 // AddBox appends a box with the given number of ports and returns its ID.
 func (n *Network) AddBox(name string, numPorts int) int {
@@ -245,11 +230,12 @@ func (b *Behavior) Traverses(box int) bool {
 
 // Path returns the box sequence of a unicast behavior (panics on
 // multicast). It includes the ingress box and, for delivered packets, ends
-// at the delivery box.
+// at the delivery box. A looping path ends at the first box it revisits,
+// which so appears twice.
 func (b *Behavior) Path() []int {
 	path := []int{b.Ingress}
 	cur := b.Ingress
-	for {
+	for !slices.Contains(path[:len(path)-1], cur) {
 		next := -1
 		for _, e := range b.Edges {
 			if e.Box == cur && e.To.Kind == DestBox {
@@ -265,6 +251,7 @@ func (b *Behavior) Path() []int {
 		path = append(path, next)
 		cur = next
 	}
+	return path
 }
 
 // String renders the behavior compactly for logs and examples.
@@ -358,11 +345,11 @@ func (w *Walker) Behavior(ingress int, pkt []byte, leaf *aptree.Node) *Behavior 
 	return &w.beh
 }
 
-// BehaviorPinned runs the traversal against src instead of the Walker's
-// default Source. Pass the epoch snapshot the leaf was classified under
-// so the whole query — stage 1 and stage 2 — observes one epoch.
-func (w *Walker) BehaviorPinned(src Source, ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
-	w.env.Source = src
+// BehaviorPinned rebinds the Walker to n and src and runs the traversal.
+// Pass the epoch the leaf was classified under and that epoch's wiring,
+// so the whole query observes one epoch.
+func (w *Walker) BehaviorPinned(n *Network, src Source, ingress int, pkt []byte, leaf *aptree.Node) *Behavior {
+	w.n, w.env.Source = n, src
 	return w.Behavior(ingress, pkt, leaf)
 }
 

@@ -169,6 +169,26 @@ func TestLoopDetection(t *testing.T) {
 	}
 }
 
+// TestPathStopsOnLoop checks that Path on a two-box forwarding loop
+// terminates: the walk's back edge leads to a box already on the path,
+// which closes the path instead of being followed forever.
+func TestPathStopsOnLoop(t *testing.T) {
+	m := aptree.NewManager(8, aptree.MethodOAPT)
+	p := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0b10000000, 1, 8) })
+	n := New()
+	b1 := n.AddBox("b1", 1)
+	b2 := n.AddBox("b2", 1)
+	n.Boxes[b1].Ports[0].Fwd = p
+	n.Boxes[b2].Ports[0].Fwd = p
+	n.Link(b1, 0, b2, 0)
+	pkt := []byte{0b10000001}
+	b := n.Behavior(&Env{Source: m}, b1, pkt, classify(m, pkt))
+	got := b.Path()
+	if want := []int{b1, b2, b1}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("path = %v, want %v", got, want)
+	}
+}
+
 func TestMulticast(t *testing.T) {
 	m := aptree.NewManager(8, aptree.MethodOAPT)
 	p := m.AddPredicate(func(d *bdd.DD) bdd.Ref { return d.FromPrefix(0, 0b10000000, 1, 8) })

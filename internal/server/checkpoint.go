@@ -17,20 +17,11 @@ import (
 // endpoint for operator-forced saves. Call before Handler is serving
 // traffic; the returned runner's Stop is the graceful-shutdown hook.
 //
-// The capture callback takes the server's read lock — the same lock the
-// query handlers hold — because Source reads the dataset and topology
-// wiring, which rule updates rewrite under the write lock. Queries keep
-// flowing during capture; only updates wait, and only for the capture
-// (the encode works off the pinned snapshot, outside any lock).
+// Capture is Classifier.CheckpointSource: queries never wait, updates
+// only while it copies the rule tables.
 func (s *Server) EnableCheckpoints(dir *checkpoint.Dir, cfg checkpoint.RunnerConfig) *checkpoint.Runner {
 	s.ckpt = dir
-	return checkpoint.StartRunner(dir, s.c.Manager, s.captureCheckpoint, cfg)
-}
-
-func (s *Server) captureCheckpoint() *checkpoint.Source {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.c.CheckpointSource()
+	return checkpoint.StartRunner(dir, s.c.Manager, s.c.CheckpointSource, cfg)
 }
 
 // handleCheckpoint forces a checkpoint right now — the operator's "save
@@ -53,7 +44,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "checkpointing disabled: start apserver with -checkpoint-dir")
 		return
 	}
-	path, err := s.ckpt.Save(s.captureCheckpoint())
+	path, err := s.ckpt.Save(s.c.CheckpointSource())
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "checkpoint failed: %v", err)
 		return

@@ -221,8 +221,6 @@ func (s *Server) handleRulesBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		seq = v
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	deltas := make([]apclassifier.RuleDelta, len(reqs))
 	for i, rq := range reqs {
 		dl, status, err := s.convertDelta(rq)

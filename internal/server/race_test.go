@@ -15,11 +15,10 @@ import (
 // TestConcurrentQueriesAndUpdates hammers the HTTP API from many
 // goroutines at once: behavior queries, rule installs/removals,
 // reconstructions, stats reads, metrics scrapes and trace reads all
-// interleave. The server serializes updates on one mutex, but /metrics
-// and /debug/trace deliberately take no server lock — they read atomics
-// and the manager's own lock — so this test is what proves a scrape
-// racing a snapshot swap (reconstruct retires the DD and flushes its
-// stats) is clean under -race.
+// interleave. The server takes no lock of its own — readers pin an
+// epoch, updates serialize inside the classifier — so this test is what
+// proves every reader, a scrape included, racing a snapshot swap
+// (reconstruct retires the DD and flushes its stats) is clean under -race.
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	ts, ds := testServer(t)
 	const (
@@ -29,9 +28,9 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	boxName := ds.Boxes[0].Name
 
 	// Pre-generate probe headers: RandomFields samples the dataset's rule
-	// tables, which the rules/add and rules/remove handlers mutate. The
-	// dataset is the server's to guard, not the test client's, so draw all
-	// probes before the storm begins.
+	// tables, which the rules/add and rules/remove handlers mutate under
+	// the classifier's writer mutex, so draw all probes before the storm
+	// begins.
 	probeRng := rand.New(rand.NewSource(7))
 	probes := make([]rule.Fields, workers*requestsPerGorou)
 	for i := range probes {

@@ -1,7 +1,7 @@
 // Package server exposes a classifier over HTTP/JSON — the shape in which
 // an SDN controller would embed AP Classifier as a service: behavior
 // queries, live rule updates, reconstruction, and invariant checks, all on
-// one mutexed classifier instance.
+// one classifier instance.
 //
 // Endpoints:
 //
@@ -22,13 +22,10 @@
 //	GET  /debug/trace?n=k           → last k per-query stage traces (JSON)
 //	GET  /debug/pprof/...           → net/http/pprof profiles
 //
-// Queries and stats run concurrently under a read lock: each request
-// resolves one classifier snapshot and answers entirely from that epoch,
-// so classification never waits on another query. The lock exists for
-// the topology, not the classifier — rule updates rewrite port
-// predicate IDs in plain fields, so mutating endpoints (and the
-// verification sweeps, which perform BDD operations on the live DD)
-// take the write lock.
+// The server holds no lock. Each reading request pins one published
+// epoch of the classifier and answers entirely from it; updates go to the
+// classifier, which serializes them and publishes new epochs. Box names
+// never change, so requests resolve them on the build-time topology.
 package server
 
 import (
@@ -62,13 +59,13 @@ const traceRingSize = 256
 // lock-free path's budget (see DESIGN §7).
 var (
 	mQueryDur = obs.Default.Histogram("apc_server_query_duration_seconds",
-		"End-to-end /query latency: parse, pin, classify, walk, encode.", obs.DefBuckets)
+		"End-to-end latency of answered /query requests: parse, pin, classify, walk, encode.", obs.DefBuckets)
 	mClassifyDur = obs.Default.Histogram("apc_aptree_classify_duration_seconds",
 		"Stage-1 AP Tree classification latency, sampled per /query request.", obs.DefBuckets)
 	mWalkDur = obs.Default.Histogram("apc_network_walk_duration_seconds",
 		"Stage-2 behavior-walk latency, sampled per /query request.", obs.DefBuckets)
 	mBatchDur = obs.Default.Histogram("apc_server_batch_duration_seconds",
-		"End-to-end /query/batch latency: parse, pin, batch classify, batch walk, encode.", obs.DefBuckets)
+		"End-to-end latency of answered /query/batch requests: parse, pin, batch classify, batch walk, encode.", obs.DefBuckets)
 	mBatchClassifyDur = obs.Default.Histogram("apc_aptree_batch_classify_duration_seconds",
 		"Stage-1 batch classification latency (whole batch), per /query/batch request.", obs.DefBuckets)
 	mBatchWalkDur = obs.Default.Histogram("apc_network_batch_walk_duration_seconds",
@@ -98,12 +95,7 @@ var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Server wraps a classifier with an HTTP API.
 type Server struct {
-	// mu guards the topology and dataset: read-locked by query/stats
-	// handlers (which pin a classifier snapshot for everything else),
-	// write-locked by rule updates and verification sweeps.
-	mu sync.RWMutex
-	c  *apclassifier.Classifier
-	ds *netgen.Dataset
+	c *apclassifier.Classifier
 
 	// trace holds the most recent per-query stage traces for
 	// /debug/trace. The ring is also installed as the classifier's trace
@@ -137,7 +129,7 @@ type Server struct {
 // derived metrics are registered into the process-wide obs registry
 // (newest classifier wins) and a trace ring is installed as its sink.
 func New(c *apclassifier.Classifier) *Server {
-	s := &Server{c: c, ds: c.Dataset, trace: obs.NewTraceRing(traceRingSize)}
+	s := &Server{c: c, trace: obs.NewTraceRing(traceRingSize)}
 	s.bufs.New = func() interface{} { return c.NewBatchBuffer() }
 	c.RegisterMetrics(obs.Default)
 	c.SetTraceSink(s.trace)
@@ -227,18 +219,17 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// One snapshot serves the whole response: predicate count, atom
-	// count, depth, memory and version all describe the same epoch, and
+	// One snapshot serves the whole response: rule, predicate and atom
+	// counts, depth, memory and version all describe the same epoch, and
 	// the BDD statistics come from the epoch's frozen view rather than
 	// from the live DD a concurrent update may be growing.
 	snap := s.c.Snapshot()
+	rules, aclRules := snap.RuleCounts()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Dataset:    s.ds.Name,
-		Boxes:      len(s.ds.Boxes),
-		Rules:      s.ds.NumRules(),
-		ACLRules:   s.ds.NumACLRules(),
+		Dataset:    s.c.Dataset.Name,
+		Boxes:      len(s.c.Net.Boxes),
+		Rules:      rules,
+		ACLRules:   aclRules,
 		Predicates: snap.NumPredicates(),
 		Atoms:      snap.NumAtoms(),
 		AvgDepth:   snap.AverageDepth(),
@@ -268,6 +259,7 @@ type QueryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var req QueryRequest
 	if !s.decodeBody(w, r, maxSingleBody, &req) {
 		return
@@ -282,14 +274,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"query belongs to shard %d, this worker serves %s", s.part.Shard(req.Ingress, f), s.part)
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ingress := s.c.Net.BoxByName(req.Ingress)
 	if ingress < 0 {
 		writeErr(w, http.StatusBadRequest, "unknown ingress box %q", req.Ingress)
 		return
 	}
-	pkt := s.ds.PacketFromFields(f)
+	pkt := s.c.Dataset.PacketFromFields(f)
 	// Pin one epoch for the whole request so the reported atom and the
 	// traversal agree even if the tree is swapped mid-request. Stage
 	// boundaries are timed for the latency histograms and the trace ring.
@@ -302,23 +292,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t3 := time.Now()
 	mClassifyDur.Record(t2.Sub(t1).Seconds())
 	mWalkDur.Record(t3.Sub(t2).Seconds())
-	mQueryDur.Record(t3.Sub(t0).Seconds())
-	s.trace.Record(obs.QueryTrace{
-		Start:    t0,
-		Ingress:  ingress,
-		Atom:     int(leaf.AtomID),
-		Depth:    int(leaf.Depth),
-		Visits:   int(leaf.Depth) + 1,
-		Version:  snap.Version(),
-		PinNs:    t1.Sub(t0).Nanoseconds(),
-		ClassNs:  t2.Sub(t1).Nanoseconds(),
-		WalkNs:   t3.Sub(t2).Nanoseconds(),
-		Hops:     len(b.Edges),
-		Delivers: len(b.Deliveries),
-		Drops:    len(b.Drops),
-		Rewrites: b.Rewrites,
-	})
+	s.trace.Record(apclassifier.StageTrace(t0, t1, t2, t3, ingress, leaf, snap.Version(), b))
 	writeJSON(w, http.StatusOK, s.buildResponse(leaf, b))
+	mQueryDur.Record(time.Since(start).Seconds())
 }
 
 // buildResponse renders one answered query; shared by /query and
@@ -361,6 +337,7 @@ func (q *QueryRequest) fields() (rule.Fields, error) {
 // and one behavior walk per distinct (ingress, atom) class. Batches above
 // maxBatch are refused with 413 Content Too Large.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var reqs []QueryRequest
 	if !s.decodeBody(w, r, maxBatchBody, &reqs) {
 		return
@@ -376,8 +353,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ingress := make([]int, len(reqs))
 	pkts := make([][]byte, len(reqs))
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for i := range reqs {
 		f, err := reqs[i].fields()
 		if err != nil {
@@ -394,7 +369,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "query %d: unknown ingress box %q", i, reqs[i].Ingress)
 			return
 		}
-		pkts[i] = s.ds.PacketFromFields(f)
+		pkts[i] = s.c.Dataset.PacketFromFields(f)
 	}
 	buf := s.bufs.Get().(*apclassifier.BatchBuffer)
 	defer s.bufs.Put(buf)
@@ -411,8 +386,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	mBatchSize.Record(float64(len(reqs)))
 	mBatchClassifyDur.Record(t1.Sub(t0).Seconds())
 	mBatchWalkDur.Record(t2.Sub(t1).Seconds())
-	mBatchDur.Record(t2.Sub(t0).Seconds())
 	writeJSON(w, http.StatusOK, resps)
+	mBatchDur.Record(time.Since(start).Seconds())
 }
 
 // RuleRequest is the /rules/{add,remove} payload.
@@ -441,17 +416,15 @@ func (s *Server) parseRule(w http.ResponseWriter, r *http.Request) (int, rule.Pr
 }
 
 func (s *Server) handleRuleAdd(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	box, p, port, ok := s.parseRule(w, r)
 	if !ok {
 		return
 	}
-	if port != rule.Drop && (port < 0 || port >= s.ds.Boxes[box].NumPorts) {
-		writeErr(w, http.StatusBadRequest, "port %d out of range", port)
+	dl := apclassifier.RuleDelta{Op: apclassifier.OpAddFwdRule, Box: box, Rule: rule.FwdRule{Prefix: p, Port: port}}
+	if err := s.c.ApplyRuleDeltas([]apclassifier.RuleDelta{dl}); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.c.AddFwdRule(box, rule.FwdRule{Prefix: p, Port: port})
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"installed": true, "treeVersion": s.c.Manager.Version(),
 		"updatesSinceSwap": s.c.Manager.UpdatesSinceSwap(),
@@ -459,8 +432,6 @@ func (s *Server) handleRuleAdd(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRuleRemove(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	box, p, _, ok := s.parseRule(w, r)
 	if !ok {
 		return
@@ -486,8 +457,6 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		}
 		// An absent or malformed body legitimately means unweighted.
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	before := s.c.AverageDepth()
 	s.c.Reconstruct(req.Weighted)
 	writeJSON(w, http.StatusOK, map[string]interface{}{
@@ -497,14 +466,30 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// The verify handlers take no server lock at all: verify.New pins one
-// epoch and clones the topology under the manager's read lock, and every
-// query after that runs against the pinned state. Rule churn through the
-// write endpoints proceeds concurrently; the response names the epoch the
-// answer is exact for.
+// The verify handlers answer from one epoch pinned by verify.Pin while
+// churn proceeds; the response names the epoch the answer is exact for.
+
+// analyzer pins the epoch for a verify request and, with needBox,
+// resolves its "from" box, answering 409 for an epoch with a middlebox
+// and 400 for an unknown box itself.
+func (s *Server) analyzer(w http.ResponseWriter, from string, needBox bool) (a *verify.Analyzer, box int, ok bool) {
+	a, err := verify.Pin(s.c)
+	if err != nil {
+		writeErr(w, http.StatusConflict, "%v", err)
+		return nil, 0, false
+	}
+	if box = a.BoxByName(from); needBox && box < 0 {
+		writeErr(w, http.StatusBadRequest, "unknown box %q", from)
+		return nil, 0, false
+	}
+	return a, box, true
+}
 
 func (s *Server) handleLoops(w http.ResponseWriter, r *http.Request) {
-	a := verify.New(s.c)
+	a, _, ok := s.analyzer(w, "", false)
+	if !ok {
+		return
+	}
 	loops := a.Loops()
 	names := make([]string, 0, len(loops))
 	for _, l := range loops {
@@ -518,10 +503,8 @@ func (s *Server) handleLoops(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	from := r.URL.Query().Get("from")
 	host := r.URL.Query().Get("host")
-	a := verify.New(s.c)
-	box := a.BoxByName(from)
-	if box < 0 {
-		writeErr(w, http.StatusBadRequest, "unknown box %q", from)
+	a, box, ok := s.analyzer(w, from, true)
+	if !ok {
 		return
 	}
 	set := a.ReachSet(box, host)
@@ -533,10 +516,8 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBlackholes(w http.ResponseWriter, r *http.Request) {
 	from := r.URL.Query().Get("from")
-	a := verify.New(s.c)
-	box := a.BoxByName(from)
-	if box < 0 {
-		writeErr(w, http.StatusBadRequest, "unknown box %q", from)
+	a, box, ok := s.analyzer(w, from, true)
+	if !ok {
 		return
 	}
 	set := a.Blackholes(box)
@@ -547,8 +528,8 @@ func (s *Server) handleBlackholes(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the process-wide obs registry in Prometheus text
-// exposition format. It takes no server lock: value metrics are read
-// atomically and derived metrics take the manager's read lock themselves.
+// exposition format. Value metrics are read atomically and derived
+// metrics read the published epoch, so scraping never blocks on updates.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// A write failure means the scraper went away mid-response; there is

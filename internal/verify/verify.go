@@ -8,16 +8,15 @@
 // behavior computation per (atom, ingress) pair, and their answers are
 // exact packet sets — unions of atoms — rather than samples.
 //
-// The Analyzer is snapshot-native: New pins one classifier epoch (the
-// published snapshot plus a copy of the topology captured atomically with
-// it) and never reads the live Manager again. Analyses are therefore
-// lock-free and churn-safe — concurrent rule-delta batches and
-// reconstructions cannot change an Analyzer's answers — with no
-// quiescence requirement. Results are PacketSets: interval-coded atom-ID
-// sets interpreted against the pinned epoch.
+// The Analyzer is snapshot-native: New pins one published classifier
+// epoch (tree, wiring and behavior cache, in O(1), copying nothing) and
+// never reads the live Manager again. Analyses are therefore lock-free and
+// churn-safe, with no quiescence requirement. Results are PacketSets:
+// interval-coded atom-ID sets interpreted against the pinned epoch.
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -38,32 +37,46 @@ type Analyzer struct {
 	snap   *aptree.Snapshot
 	view   *aptree.AtomView
 	net    *network.Network
-	// cache memoizes behaviors per (ingress, atom) for targeted queries.
-	// Exhaustive sweeps (Loops, ReachabilityMatrix) deliberately bypass it:
-	// at fat-tree scale persisting millions of cloned behaviors costs more
-	// than the walks they would save.
+	// cache is the epoch's behavior cache, shared with the query path,
+	// for targeted queries. Exhaustive sweeps (Loops, ReachabilityMatrix)
+	// deliberately bypass it: at fat-tree scale persisting millions of
+	// cloned behaviors costs more than the walks they would save.
 	cache *network.BehaviorCache
 }
 
-// New pins the classifier's published epoch — snapshot and topology
-// captured atomically — and builds an analyzer over it. The classifier
-// may keep updating freely; the analyzer's answers describe the pinned
-// epoch. Networks with middleboxes are rejected (their rewrites depend on
-// concrete headers, not atoms).
-func New(c *apclassifier.Classifier) *Analyzer {
-	snap, net := c.PinForVerify()
+// ErrMiddlebox rejects a topology with middleboxes, whose rewrites depend
+// on concrete headers, not atoms.
+var ErrMiddlebox = errors.New("verify: atom-level analysis does not support middleboxes")
+
+// Pin builds an analyzer over the classifier's published epoch, which
+// later updates do not change; it fails with ErrMiddlebox when that
+// epoch's topology carries a middlebox.
+func Pin(c *apclassifier.Classifier) (*Analyzer, error) {
+	s := c.Snapshot()
+	net := s.Net()
 	for _, b := range net.Boxes {
 		if b.MB != nil {
-			panic("verify: atom-level analysis does not support middleboxes")
+			return nil, fmt.Errorf("%w (middlebox %q on box %s)", ErrMiddlebox, b.MB.Name, b.Name)
 		}
 	}
+	snap := s.Epoch()
 	return &Analyzer{
 		layout: c.Layout,
 		snap:   snap,
 		view:   snap.Atoms(),
 		net:    net,
-		cache:  network.NewBehaviorCache(snap, len(net.Boxes)),
+		cache:  s.BehaviorCache(),
+	}, nil
+}
+
+// New is Pin for networks known to carry no middlebox; it panics with
+// Pin's error otherwise.
+func New(c *apclassifier.Classifier) *Analyzer {
+	a, err := Pin(c)
+	if err != nil {
+		panic(err)
 	}
+	return a
 }
 
 // Epoch reports the reconstruction epoch the analyzer is pinned to.
@@ -77,14 +90,7 @@ func (a *Analyzer) NumBoxes() int { return len(a.net.Boxes) }
 
 // BoxByName resolves a box name against the pinned topology (not the live
 // one, which may gain boxes concurrently). Returns -1 if absent.
-func (a *Analyzer) BoxByName(name string) int {
-	for i, b := range a.net.Boxes {
-		if b.Name == name {
-			return i
-		}
-	}
-	return -1
-}
+func (a *Analyzer) BoxByName(name string) int { return a.net.BoxByName(name) }
 
 // BoxName returns the pinned topology's name for a box ID.
 func (a *Analyzer) BoxName(i int) string { return a.net.Boxes[i].Name }
@@ -101,7 +107,7 @@ func (a *Analyzer) behavior(w *network.Walker, ingress int, atom int32) *network
 	if b := a.cache.Lookup(ingress, atom); b != nil {
 		return b
 	}
-	b := w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom)).Clone()
+	b := w.Behavior(ingress, nil, a.view.Leaf(atom)).Clone()
 	a.cache.Store(ingress, atom, b)
 	return b
 }
@@ -246,7 +252,7 @@ func (a *Analyzer) Loops() []Loop {
 	a.sweep(func(w *network.Walker, ingress int) {
 		var out []Loop
 		a.view.Each(func(atom int32) bool {
-			if loops(w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom))) {
+			if loops(w.Behavior(ingress, nil, a.view.Leaf(atom))) {
 				out = append(out, Loop{
 					Ingress: ingress,
 					AtomID:  atom,
@@ -330,7 +336,7 @@ func (a *Analyzer) ReachabilityMatrix() [][]int {
 		stamp := make([]int32, n)
 		token := int32(0)
 		a.view.Each(func(atom int32) bool {
-			b := w.BehaviorPinned(a.snap, ingress, nil, a.view.Leaf(atom))
+			b := w.Behavior(ingress, nil, a.view.Leaf(atom))
 			token++
 			mark := func(box int) {
 				if stamp[box] != token {

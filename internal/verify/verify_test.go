@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -246,10 +247,43 @@ func TestPacketSetCountAndFraction(t *testing.T) {
 	}
 }
 
+// TestPinSharesServingCache checks that pinning is O(1) and shares the
+// epoch's behavior cache with the query path: no copy of the topology,
+// no fresh cache, and a query after ReachSet from the same ingress, on
+// the same epoch, returns the very behavior ReachSet memoized.
+func TestPinSharesServingCache(t *testing.T) {
+	ds := netgen.Internet2Like(netgen.Config{Seed: 54, RuleScale: 0.01})
+	c := compile(t, ds)
+	a := New(c)
+	s := c.Snapshot()
+	if s.Epoch() != a.snap || s.Net() != a.net || s.BehaviorCache() != a.cache {
+		t.Fatal("analyzer must pin the published epoch's wiring and cache, not copies")
+	}
+	if a.net != c.Net {
+		t.Fatal("with no update since construction the epoch's wiring is the build-time topology")
+	}
+	a.ReachSet(0, ds.Hosts[0].Name)
+	rng := rand.New(rand.NewSource(54))
+	for i := 0; i < 50; i++ {
+		pkt := ds.PacketFromFields(ds.RandomFields(rng))
+		leaf := s.Classify(pkt)
+		cached := s.BehaviorCache().Lookup(0, leaf.AtomID)
+		if cached == nil {
+			t.Fatalf("probe %d: ReachSet left atom %d from box 0 unmemoized", i, leaf.AtomID)
+		}
+		if got := s.BehaviorFrom(0, pkt, leaf); got != cached {
+			t.Fatalf("probe %d: query after ReachSet walked instead of hitting the cache", i)
+		}
+	}
+}
+
 func TestAnalyzerRejectsMiddleboxes(t *testing.T) {
 	ds := netgen.Internet2Like(netgen.Config{Seed: 59, RuleScale: 0.01})
 	c := compile(t, ds)
-	c.Net.Boxes[0].MB = &network.Middlebox{Name: "mb"}
+	c.SetMiddlebox(0, &network.Middlebox{Name: "mb"})
+	if _, err := Pin(c); !errors.Is(err, ErrMiddlebox) {
+		t.Fatalf("Pin: err %v, want ErrMiddlebox", err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("middlebox networks must be rejected")

@@ -3,6 +3,7 @@ package apclassifier
 import (
 	"time"
 
+	"apclassifier/internal/aptree"
 	"apclassifier/internal/header"
 	"apclassifier/internal/network"
 	"apclassifier/internal/obs"
@@ -73,9 +74,17 @@ func (c *Classifier) traceQuery(ring *obs.TraceRing, w *network.Walker, ingress 
 	t1 := time.Now()
 	leaf, version := s.Classify(pkt)
 	t2 := time.Now()
-	b := c.behaviorVia(c.cacheFor(s), w, s, ingress, pkt, leaf, false)
+	b := behaviorVia(behaviorCache(s), w, s, ingress, pkt, leaf, false)
 	t3 := time.Now()
-	ring.Record(obs.QueryTrace{
+	ring.Record(StageTrace(t0, t1, t2, t3, ingress, leaf, version, b))
+	return b
+}
+
+// StageTrace is the trace record of one two-stage query from its stage
+// boundaries: t0 before the epoch pin, t1 after it, t2 after stage 1 and
+// t3 after stage 2. Library queries and the server's /query share it.
+func StageTrace(t0, t1, t2, t3 time.Time, ingress int, leaf *aptree.Node, version uint64, b *network.Behavior) obs.QueryTrace {
+	return obs.QueryTrace{
 		Start:    t0,
 		Ingress:  ingress,
 		Atom:     int(leaf.AtomID),
@@ -89,6 +98,5 @@ func (c *Classifier) traceQuery(ring *obs.TraceRing, w *network.Walker, ingress 
 		Delivers: len(b.Deliveries),
 		Drops:    len(b.Drops),
 		Rewrites: b.Rewrites,
-	})
-	return b
+	}
 }

@@ -8,9 +8,10 @@ import (
 
 // Snapshot is one immutable epoch of the classifier, pinned at the
 // moment Classifier.Snapshot was called. Every query method answers
-// against that epoch — the same AP Tree, BDD view and predicate
-// liveness — no matter how many updates or reconstructions the live
-// classifier absorbs afterwards, and none of them takes a lock.
+// against that epoch — the same AP Tree, BDD view, predicate liveness,
+// topology wiring and behavior cache — no matter how many updates or
+// reconstructions the live classifier absorbs afterwards, and none of
+// them takes a lock.
 //
 // Use a Snapshot when a batch of queries must be mutually consistent
 // (an invariant sweep, a what-if analysis, a /stats report), or simply
@@ -19,22 +20,33 @@ import (
 // goroutines and may be retained indefinitely; an old epoch's memory is
 // reclaimed by Go's GC once the last snapshot referencing it is
 // dropped.
-//
-// Topology is not part of the snapshot: rule updates that rewire port
-// predicate IDs still require external synchronization with in-flight
-// queries, exactly as Classifier documents.
 type Snapshot struct {
-	c *Classifier
 	s *aptree.Snapshot
 }
 
 // Snapshot pins the current epoch.
 func (c *Classifier) Snapshot() *Snapshot {
-	return &Snapshot{c: c, s: c.Manager.Snapshot()}
+	return &Snapshot{s: c.Manager.Snapshot()}
 }
 
 // Version reports the reconstruction epoch this snapshot is pinned to.
 func (s *Snapshot) Version() uint64 { return s.s.Version() }
+
+// Epoch returns the pinned aptree epoch, for engines working on atoms.
+func (s *Snapshot) Epoch() *aptree.Snapshot { return s.s }
+
+// Net returns the epoch's topology wiring: box, port and link structure
+// with the predicate IDs and middleboxes stage 2 walks. Read-only.
+func (s *Snapshot) Net() *network.Network { return wiringOf(s.s).net }
+
+// BehaviorCache returns the epoch's behavior cache, shared by all its
+// readers; store only deterministic behaviors walked on this epoch.
+func (s *Snapshot) BehaviorCache() *network.BehaviorCache { return behaviorCache(s.s) }
+
+// RuleCounts reports the forwarding and ACL rules the epoch compiles.
+func (s *Snapshot) RuleCounts() (fwd, acl int) {
+	return wiringOf(s.s).rules, wiringOf(s.s).aclRules
+}
 
 // Classify runs stage 1 against the pinned epoch.
 func (s *Snapshot) Classify(pkt header.Packet) *aptree.Node {
@@ -43,20 +55,19 @@ func (s *Snapshot) Classify(pkt header.Packet) *aptree.Node {
 }
 
 // Behavior runs both stages against the pinned epoch. Like
-// Classifier.Behavior it consults the epoch's behavior cache (when the
-// pinned epoch is still the published one) and memoizes deterministic
-// walks; the result may be that shared cached value and must be treated
-// as read-only.
+// Classifier.Behavior it consults the epoch's behavior cache and
+// memoizes deterministic walks; the result may be that shared cached
+// value and must be treated as read-only.
 func (s *Snapshot) Behavior(ingress int, pkt header.Packet) *network.Behavior {
-	leaf, _ := s.s.Classify(pkt)
-	return s.c.behaviorVia(s.c.cacheFor(s.s), nil, s.s, ingress, pkt, leaf, false)
+	return s.BehaviorWith(nil, ingress, pkt)
 }
 
-// BehaviorWith is Behavior using the caller's Walker scratch space; the
-// result is read-only and valid until the Walker's next query.
+// BehaviorWith is Behavior using the caller's Walker scratch space (nil
+// for none); the result is read-only and valid until the Walker's next
+// query.
 func (s *Snapshot) BehaviorWith(w *network.Walker, ingress int, pkt header.Packet) *network.Behavior {
 	leaf, _ := s.s.Classify(pkt)
-	return s.c.behaviorVia(s.c.cacheFor(s.s), w, s.s, ingress, pkt, leaf, false)
+	return behaviorVia(behaviorCache(s.s), w, s.s, ingress, pkt, leaf, false)
 }
 
 // BehaviorFrom runs stage 2 only, from a leaf the caller already
@@ -64,7 +75,7 @@ func (s *Snapshot) BehaviorWith(w *network.Walker, ingress int, pkt header.Packe
 // the leaf and the behavior (the server's /query, traced queries) use it
 // to avoid classifying the packet twice.
 func (s *Snapshot) BehaviorFrom(ingress int, pkt header.Packet, leaf *aptree.Node) *network.Behavior {
-	return s.c.behaviorVia(s.c.cacheFor(s.s), nil, s.s, ingress, pkt, leaf, false)
+	return behaviorVia(behaviorCache(s.s), nil, s.s, ingress, pkt, leaf, false)
 }
 
 // NumPredicates reports the number of live predicates in the epoch.
@@ -78,7 +89,3 @@ func (s *Snapshot) AverageDepth() float64 { return s.s.Tree().AverageDepth() }
 
 // LiveMemBytes reports the live BDD bytes of the epoch's frozen view.
 func (s *Snapshot) LiveMemBytes() int { return s.s.View().LiveMemBytes() }
-
-// Source exposes the pinned epoch as a stage-2 source, for driving
-// network.Behavior or middleboxes directly.
-func (s *Snapshot) Source() network.Source { return s.s }

@@ -1,6 +1,10 @@
 package apclassifier
 
 import (
+	"fmt"
+	"slices"
+
+	"apclassifier/internal/aptree"
 	"apclassifier/internal/network"
 	"apclassifier/internal/rule"
 )
@@ -22,44 +26,40 @@ type BehaviorChange struct {
 
 // WhatIfFwdRule answers §I's pre-installation verification question: if
 // this forwarding rule were installed on the box, how would the probed
-// flows behave? The rule is applied to the live classifier (a real-time
-// tree update), the probes are evaluated, and the rule is rolled back, so
-// the data plane state is unchanged on return.
-//
-// Like the other rule-level operations, the caller must synchronize with
-// concurrent queries.
+// flows behave? The rule goes into a private copy of the box's table,
+// displacing any same-prefix rule so it wins the LPM tie, and the probes
+// walk the unpublished epoch Manager.Fork derives from it. Live state,
+// concurrent queries and c.Dataset never see the hypothetical rule.
 func (c *Classifier) WhatIfFwdRule(box int, r rule.FwdRule, probes []FlowProbe) []BehaviorChange {
-	before := make([]*network.Behavior, len(probes))
-	for i, p := range probes {
-		before[i] = c.Behavior(p.Ingress, c.Dataset.PacketFromFields(p.Fields))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.validateDelta(RuleDelta{Op: OpAddFwdRule, Box: box, Rule: r}); err != nil {
+		panic(fmt.Errorf("apclassifier: %w", err))
 	}
-	// Displace any existing rules with the same prefix (the hypothetical
-	// rule must win the LPM tie) and restore them afterwards.
-	var displaced []rule.FwdRule
-	for _, er := range c.Dataset.Boxes[box].Fwd.Rules {
-		if er.Prefix == r.Prefix {
-			displaced = append(displaced, er)
-		}
+	live := c.Snapshot()
+	fwd := rule.FwdTable{Rules: slices.Clone(c.Dataset.Boxes[box].Fwd.Rules)}
+	var cones []rule.Cone
+	if cone, ok := fwd.RemoveWithCone(r.Prefix); ok {
+		cones = append(cones, cone)
 	}
-	if len(displaced) > 0 {
-		c.RemoveFwdRule(box, r.Prefix)
-	}
-	c.AddFwdRule(box, r)
+	cones = append(cones, fwd.AddWithCone(r))
+	hyp := c.Manager.Fork(func(tx *aptree.Tx) {
+		net := c.rewire(tx, func(int) *rule.FwdTable { return &fwd }, map[int][]rule.Cone{box: cones}, nil)
+		tx.SetWiring(&wiring{net: net})
+	})
 
 	changes := make([]BehaviorChange, 0, len(probes))
-	for i, p := range probes {
-		after := c.Behavior(p.Ingress, c.Dataset.PacketFromFields(p.Fields))
-		ch := BehaviorChange{Probe: p, Before: before[i], After: after}
-		ch.DeliveryChange = !sameDeliveries(before[i], after)
-		ch.PathChange = !sameEdges(before[i], after)
+	for _, p := range probes {
+		pkt := c.Dataset.PacketFromFields(p.Fields)
+		before := live.Behavior(p.Ingress, pkt)
+		leaf, _ := hyp.Classify(pkt)
+		after := behaviorVia(nil, nil, hyp, p.Ingress, pkt, leaf, false)
+		ch := BehaviorChange{Probe: p, Before: before, After: after}
+		ch.DeliveryChange = !sameDeliveries(before, after)
+		ch.PathChange = !sameEdges(before, after)
 		if ch.DeliveryChange || ch.PathChange {
 			changes = append(changes, ch)
 		}
-	}
-
-	c.RemoveFwdRule(box, r.Prefix)
-	for _, er := range displaced {
-		c.AddFwdRule(box, er)
 	}
 	return changes
 }

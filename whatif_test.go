@@ -49,7 +49,7 @@ func TestWhatIfFwdRuleDetectsBlackhole(t *testing.T) {
 		t.Fatalf("what-if missed the blackholed probe (changes: %d)", len(changes))
 	}
 
-	// Rollback: state unchanged — every probe behaves as before, and the
+	// Live state unchanged — every probe behaves as before, and the
 	// dataset holds no trace of the hypothetical rule.
 	for _, p := range probes {
 		if !c.Behavior(p.Ingress, ds.PacketFromFields(p.Fields)).Delivered("") {
@@ -120,10 +120,10 @@ func TestWhatIfWithExistingSamePrefixRule(t *testing.T) {
 	if len(changes) == 0 {
 		t.Fatal("same-prefix override not observed")
 	}
-	// ...and the original rule must be back afterwards.
+	// ...and the original rule must still be in force afterwards.
 	afterStr := c.Behavior(box, ds.PacketFromFields(probe.Fields)).String()
 	if beforeStr != afterStr {
-		t.Fatalf("rollback incomplete: %q -> %q", beforeStr, afterStr)
+		t.Fatalf("what-if changed live behavior: %q -> %q", beforeStr, afterStr)
 	}
 	count := 0
 	for _, r := range ds.Boxes[box].Fwd.Rules {
